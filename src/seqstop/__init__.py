@@ -11,6 +11,6 @@ from .schedules import (StageSchedule, plan_bounded_abs, plan_geometric_mean,
                         plan_unbounded)
 from .seq_mv import MvPlan, plan_mv, run_mv
 from .sim import (CoverageReport, DistributionSpec, coverage_experiment,
-                  generate, oracle_ci_grid, oracle_sequence_limits)
+                  generate)
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from typing import List, Optional
 
 from . import schedules, sim
 from .fixed_ci import SampleSummary, ci_mean, region_boundary
-from .rules import EstimationGoal, run_to_stop
+from .rules import RULES, EstimationGoal, run_to_stop
 from .schedules import StageSchedule
 from .seq_mv import plan_mv, run_mv
 
@@ -50,45 +50,34 @@ def _read_stream(path: str) -> List[float]:
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    values = []
-    for line in text.split():
-        values.append(float(line))
-    return values
+    return [float(token) for token in text.split()]
 
 
-def _build_goal(args) -> EstimationGoal:
-    return EstimationGoal(parameter=args.parameter, error=args.error,
-                          epsilon=args.epsilon, delta=args.delta)
-
-
-def _build_schedule(args) -> StageSchedule:
-    if getattr(args, "schedule", None):
+def _build_schedule(args, rule: str) -> StageSchedule:
+    """The --schedule file if given, else the rule's default planner."""
+    if args.schedule:
         with open(args.schedule, "r", encoding="utf-8") as fh:
             return StageSchedule.from_json(fh.read())
-    rule = args.rule
     if rule in ("A", "B"):
-        sched = schedules.plan_bounded_abs(args.epsilon, args.delta,
-                                           args.stages, rule)
-    elif rule == "D":
-        sched = schedules.plan_geometric_mean(args.epsilon, args.delta,
-                                              args.stages)
-    else:
-        sched = schedules.plan_unbounded(args.delta, args.m1,
-                                         ratio=args.ratio, decay=args.decay,
-                                         epsilon=args.epsilon, rule=rule,
-                                         cap=args.cap)
-    return sched
+        return schedules.plan_bounded_abs(args.epsilon, args.delta,
+                                          args.stages, rule)
+    if rule == "D":
+        return schedules.plan_geometric_mean(args.epsilon, args.delta,
+                                             args.stages)
+    return schedules.plan_unbounded(args.delta, args.m1, ratio=args.ratio,
+                                    decay=args.decay, epsilon=args.epsilon,
+                                    rule=rule, cap=args.cap)
 
 
 def _cmd_plan(args) -> int:
-    sched = _build_schedule(args)
+    sched = _build_schedule(args, args.rule)
     print(_json_12sig(sched.to_json()))
     return 0
 
 
 def _cmd_run(args) -> int:
-    goal = _build_goal(args)
-    sched = _build_schedule(args)
+    goal = RULES[args.rule].goal(args.epsilon, args.delta)
+    sched = _build_schedule(args, args.rule)
     try:
         stream = _read_stream(args.input)
     except (OSError, ValueError) as exc:
@@ -125,27 +114,26 @@ def _cmd_simulate(args) -> int:
     sched = None
     plan = None
     fixed_n = None
+    if args.reps < 0:
+        print("error: --reps must be nonnegative", file=sys.stderr)
+        return USAGE_ERROR
     if args.procedure == "mv":
         plan = plan_mv(args.epsilon, args.delta, args.stages)
     elif args.procedure == "ci":
-        goal = _build_goal(args)
+        goal = EstimationGoal("bounded", "abs", args.epsilon, args.delta)
         fixed_n = args.fixed_n
-        if fixed_n is None:
-            print("error: --fixed-n is required for procedure ci",
+        if fixed_n is None or fixed_n < 1:
+            print("error: procedure ci needs a positive --fixed-n",
                   file=sys.stderr)
             return USAGE_ERROR
     else:
-        goal = _build_goal(args)
-        sched = _build_schedule(args)
+        goal = RULES[args.procedure].goal(args.epsilon, args.delta)
+        sched = _build_schedule(args, args.procedure)
     workers = args.workers or os.cpu_count() or 1
     reps = args.reps
-    if reps == 0:
-        report = sim.report_from_chunks(args.procedure, spec, 0,
-                                        [(0, 0, 0, [])])
-    elif workers <= 1 or reps < 2 * workers:
-        report = sim.coverage_experiment(args.procedure, spec, goal=goal,
-                                         schedule=sched, reps=reps,
-                                         fixed_n=fixed_n, plan=plan)
+    if workers <= 1 or reps < 2 * workers:
+        chunks = [sim.coverage_chunk(args.procedure, spec, goal, sched, reps,
+                                     0, fixed_n, plan)]
     else:
         base = reps // workers
         sizes = [base + (1 if i < reps % workers else 0)
@@ -157,7 +145,7 @@ def _cmd_simulate(args) -> int:
                             goal, sched, size, off, fixed_n, plan)
                 for size, off in zip(sizes, offsets) if size > 0]
             chunks = [f.result() for f in futures]
-        report = sim.report_from_chunks(args.procedure, spec, reps, chunks)
+    report = sim.report_from_chunks(args.procedure, spec, reps, chunks)
     print(_json_12sig(report.to_json()))
     return 0
 
@@ -203,15 +191,11 @@ def _cmd_region(args) -> int:
 
 
 def _add_goal_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--parameter", choices=["bounded", "geometric", "poisson"],
-                   default="bounded")
-    p.add_argument("--error", choices=["abs", "rel"], default="abs")
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--delta", type=float, default=0.05)
 
 
 def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rule", choices=list("ABCDEF"), default="A")
     p.add_argument("--stages", type=int, default=5,
                    help="number of stages for finite schedules")
     p.add_argument("--schedule", help="JSON schedule file overriding flags")
@@ -231,11 +215,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("plan", help="emit a stage schedule as JSON")
+    p.add_argument("--rule", choices=list(RULES), default="A")
     _add_goal_flags(p)
     _add_schedule_flags(p)
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("run", help="run a stopping rule over a stream")
+    p.add_argument("--rule", choices=list(RULES), default="A")
     _add_goal_flags(p)
     _add_schedule_flags(p)
     p.add_argument("--input", default="-", help="stream path or - for stdin")
@@ -245,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_goal_flags(p)
     _add_schedule_flags(p)
     p.add_argument("--procedure", default="A",
-                   choices=list("ABCDEF") + ["mv", "ci"])
+                   choices=list(RULES) + ["mv", "ci"],
+                   help="a rule letter, mv or ci")
     p.add_argument("--dist", default="bernoulli",
                    choices=["bernoulli", "scaled-beta", "discrete",
                             "geometric", "poisson"])

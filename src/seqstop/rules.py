@@ -2,37 +2,31 @@
 
 Each rule compares a divergence kernel of the running sample mean against
 a per-stage threshold ln(b_l / 2) / m_l and stops at the first stage
-where the inequality holds.
+where the inequality holds.  ``RULES`` maps each rule letter to its
+target family, error kind, per-stage test and terminal claim.
 """
 
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Optional
 
 from . import kernels
-from .schedules import StageSchedule
+from .fixed_ci import SampleSummary
+from .schedules import STAGE_SCAN_FACTOR, StageSchedule
 
 __all__ = [
     "EstimationGoal",
     "RunningSample",
     "StopDecision",
+    "RuleSpec",
+    "RULES",
     "feed",
-    "check_rule_a",
-    "check_rule_b",
-    "check_rule_c",
-    "check_rule_d",
-    "check_rule_e",
-    "check_rule_f",
     "stop_stage",
     "run_to_stop",
     "STAGE_SCAN_FACTOR",
 ]
-
-# Unbounded rules scan stages up to the first m_l >= n * STAGE_SCAN_FACTOR;
-# beyond that the threshold has shrunk toward 0- while the kernel argument
-# gap closes, so skipping can only delay stopping, never break coverage.
-STAGE_SCAN_FACTOR = 64
 
 
 @dataclass(frozen=True)
@@ -51,8 +45,8 @@ class EstimationGoal:
             raise ValueError(f"unknown error kind {self.error!r}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if self.parameter == "bounded" and self.error == "abs" and self.epsilon >= 0.5:
             raise ValueError("absolute bounded-mean estimation needs epsilon < 1/2")
         if self.error == "rel" and self.epsilon >= 1.0:
@@ -65,10 +59,10 @@ class EstimationGoal:
             if not 0.0 <= x <= 1.0:
                 raise ValueError(f"observation {x!r} outside [0, 1]")
         elif self.parameter == "geometric":
-            if x < 1.0 or x != int(x):
+            if not 1.0 <= x < math.inf or x != int(x):
                 raise ValueError(f"observation {x!r} not a positive integer")
         else:
-            if x < 0.0 or x != int(x):
+            if not 0.0 <= x < math.inf or x != int(x):
                 raise ValueError(f"observation {x!r} not a nonnegative integer")
 
 
@@ -89,6 +83,11 @@ class RunningSample:
         """Population-style variance, clamped at 0 against rounding."""
         m = self.mean
         return max(0.0, self.total_sq / self.n - m * m)
+
+    def summary(self) -> SampleSummary:
+        """(n, mean, var) with var clamped at 1/4, the bound for [0, 1] data."""
+        return SampleSummary(n=self.n, mean=self.mean,
+                             var=min(self.var, 0.25))
 
 
 def feed(state: RunningSample, x: float, goal: EstimationGoal) -> RunningSample:
@@ -180,6 +179,65 @@ def _cond_f(xbar: float, n: int, m: int, eps: float, thr: float) -> bool:
     return kernels.mp(z, theta) <= thr
 
 
+def _abs_claim(estimate: float, truth: float, eps: float) -> bool:
+    return abs(estimate - truth) < eps
+
+
+def _rel_claim(estimate: float, truth: float, eps: float) -> bool:
+    return abs(estimate - truth) < eps * truth
+
+
+def _ratio_claim(estimate: float, truth: float, eps: float) -> bool:
+    return (1.0 - eps) * estimate < truth < (1.0 + eps) * estimate
+
+
+def _kernel_test(cond):
+    """Per-stage test comparing a kernel against ln(b_l / 2) / m_l."""
+    def test(xbar, n, m, budget, goal, schedule):
+        return cond(xbar, n, m, goal.epsilon, _threshold(m, budget))
+    return test
+
+
+def _test_b(xbar, n, m, budget, goal, schedule):
+    """Rule B's quadratic surrogate uses ln(2s/delta), not the threshold."""
+    return _cond_b(xbar, n, m, goal.epsilon, goal.delta, schedule.s)
+
+
+@dataclass(frozen=True)
+class RuleSpec:
+    """What a rule letter means: ``test(xbar, n, m_l, b_l, goal, schedule)``
+    is its stage-l inequality and ``claim(estimate, truth, epsilon)`` the
+    error claim a stopped run makes."""
+
+    parameter: str
+    error: str
+    test: Callable[..., bool]
+    claim: Callable[[float, float, float], bool]
+
+    def goal(self, epsilon: float, delta: float) -> EstimationGoal:
+        return EstimationGoal(self.parameter, self.error, epsilon, delta)
+
+
+RULES: Mapping[str, RuleSpec] = MappingProxyType({
+    "A": RuleSpec("bounded", "abs", _kernel_test(_cond_a), _abs_claim),
+    "B": RuleSpec("bounded", "abs", _test_b, _abs_claim),
+    "C": RuleSpec("bounded", "rel", _kernel_test(_cond_c), _rel_claim),
+    "D": RuleSpec("geometric", "rel", _kernel_test(_cond_d), _ratio_claim),
+    "E": RuleSpec("poisson", "abs", _kernel_test(_cond_e), _abs_claim),
+    "F": RuleSpec("poisson", "rel", _kernel_test(_cond_f), _rel_claim),
+})
+
+
+def _rule_spec(rule: str, goal: EstimationGoal) -> RuleSpec:
+    """The rule's spec, after checking that the goal is of its family."""
+    spec = RULES.get(rule)
+    if spec is None or (spec.parameter, spec.error) != (goal.parameter,
+                                                         goal.error):
+        raise ValueError(f"rule {rule!r} does not estimate a "
+                         f"{goal.parameter} mean with {goal.error} error")
+    return spec
+
+
 def stop_stage(rule: str, state: RunningSample, schedule: StageSchedule,
                goal: EstimationGoal) -> Optional[int]:
     """Smallest stage index at which the rule's inequality holds, else None.
@@ -187,61 +245,24 @@ def stop_stage(rule: str, state: RunningSample, schedule: StageSchedule,
     Finite rules scan all s stages; unbounded rules scan until
     m_l >= n * STAGE_SCAN_FACTOR.
     """
+    test = _rule_spec(rule, goal).test
     if state.n == 0:
         return None
     xbar = state.mean
     n = state.n
-    eps = goal.epsilon
-    for ell, m, budget in schedule.iter_stages():
+    for ell, (m, budget) in enumerate(schedule.table, 1):
         if schedule.unbounded and m >= n * STAGE_SCAN_FACTOR and ell > 1:
             return None
-        if rule == "A":
-            hit = _cond_a(xbar, n, m, eps, _threshold(m, budget))
-        elif rule == "B":
-            hit = _cond_b(xbar, n, m, eps, goal.delta, schedule.s)
-        elif rule == "C":
-            hit = _cond_c(xbar, n, m, eps, _threshold(m, budget))
-        elif rule == "D":
-            hit = _cond_d(xbar, n, m, eps, _threshold(m, budget))
-        elif rule == "E":
-            hit = _cond_e(xbar, n, m, eps, _threshold(m, budget))
-        elif rule == "F":
-            hit = _cond_f(xbar, n, m, eps, _threshold(m, budget))
-        else:
-            raise ValueError(f"unknown rule {rule!r}")
-        if hit:
+        if test(xbar, n, m, budget, goal, schedule):
             return ell
     return None
-
-
-def check_rule_a(state, schedule, goal):
-    return stop_stage("A", state, schedule, goal) is not None
-
-
-def check_rule_b(state, schedule, goal):
-    return stop_stage("B", state, schedule, goal) is not None
-
-
-def check_rule_c(state, schedule, goal):
-    return stop_stage("C", state, schedule, goal) is not None
-
-
-def check_rule_d(state, schedule, goal):
-    return stop_stage("D", state, schedule, goal) is not None
-
-
-def check_rule_e(state, schedule, goal):
-    return stop_stage("E", state, schedule, goal) is not None
-
-
-def check_rule_f(state, schedule, goal):
-    return stop_stage("F", state, schedule, goal) is not None
 
 
 def run_to_stop(stream: Iterable[float], rule: str, schedule: StageSchedule,
                 goal: EstimationGoal) -> StopDecision:
     """Consume observations until the rule fires, the cap is hit, or the
     stream runs out."""
+    _rule_spec(rule, goal)
     state = RunningSample()
     for x in stream:
         feed(state, x, goal)

@@ -8,7 +8,7 @@ budgets and a hard safety cap on total samples).
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 __all__ = [
     "StageSchedule",
@@ -16,28 +16,20 @@ __all__ = [
     "plan_geometric_mean",
     "plan_unbounded",
     "DEFAULT_CAP",
+    "MAX_STAGES",
+    "STAGE_SCAN_FACTOR",
 ]
 
 DEFAULT_CAP = 10_000_000
 
+# Unbounded rules scan stages up to the first m_l >= n * STAGE_SCAN_FACTOR;
+# beyond that the threshold has shrunk toward 0- while the kernel argument
+# gap closes, so skipping can only delay stopping, never break coverage.
+STAGE_SCAN_FACTOR = 64
 
-def _geometric_stages(m1: int, ms: int, s: int) -> List[int]:
-    """Ascending integer stage sizes, geometric between m1 and ms.
-
-    Collapses to fewer distinct stages when m1 >= ms; duplicates from
-    rounding are repaired by shifting upward.
-    """
-    if s == 1 or m1 >= ms:
-        return [ms]
-    raw = [m1 * (ms / m1) ** (k / (s - 1)) for k in range(s)]
-    stages: List[int] = []
-    for r in raw:
-        m = math.ceil(r - 1e-9)
-        if stages and m <= stages[-1]:
-            m = stages[-1] + 1
-        stages.append(m)
-    stages[-1] = max(stages[-1], ms)
-    return stages
+# Bounds the memory and time a schedule can take; far above the ~1.6e4
+# stages an unbounded schedule with ratio 1.001 may need at the default cap.
+MAX_STAGES = 100_000
 
 
 @dataclass(frozen=True)
@@ -47,7 +39,11 @@ class StageSchedule:
     ``budgets`` holds the per-stage delta allocation b_l (summing to at
     most delta); the stopping rules compare kernels against
     ln(b_l / 2) / m_l.  For finite schedules b_l = delta / s uniformly.
-    Unbounded schedules generate stages lazily from (m1, ratio, decay).
+    Unbounded schedules continue the given stages with m_{l+1} =
+    max(m_l + 1, ceil(m_l * ratio)) and b_l = delta (1-decay) decay^(l-1).
+    ``table`` holds every (m_l, b_l), built at construction; unbounded
+    tables end at the first m_l >= cap * STAGE_SCAN_FACTOR, the last stage
+    a run of at most ``cap`` observations can scan.
     """
 
     epsilon: float
@@ -61,6 +57,8 @@ class StageSchedule:
     decay: float = 0.5
     cap: int = DEFAULT_CAP
     check_every: Optional[int] = field(default=None)  # None = stage boundaries only
+    table: Tuple[Tuple[int, float], ...] = field(init=False, repr=False,
+                                                 compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.delta < 1.0:
@@ -71,10 +69,30 @@ class StageSchedule:
             raise ValueError("stage sizes must be strictly ascending")
         if len(self.budgets) != len(self.stages):
             raise ValueError("one budget per stage required")
-        if self.unbounded and self.ratio <= 1.0:
-            raise ValueError("unbounded schedules need ratio > 1")
-        if self.unbounded and not 0.0 < self.decay < 1.0:
-            raise ValueError("decay must lie in (0, 1)")
+        table = list(zip(self.stages, self.budgets))
+        if self.unbounded:
+            if not 1.0 < self.ratio < math.inf:
+                raise ValueError("unbounded schedules need a finite ratio > 1")
+            if not 0.0 < self.decay < 1.0:
+                raise ValueError("decay must lie in (0, 1)")
+            # m_l grows at least by the factor ratio per stage, which bounds
+            # the table length before anything is built
+            m, target = self.stages[-1], self.cap * STAGE_SCAN_FACTOR
+            if math.log(max(target, m)) - math.log(m) > \
+                    MAX_STAGES * math.log(self.ratio):
+                raise ValueError(f"ratio {self.ratio!r} may need more than "
+                                 f"{MAX_STAGES} stages to reach {target}")
+            try:
+                while m < target:
+                    m = max(m + 1, math.ceil(m * self.ratio))
+                    b = self.delta * (1.0 - self.decay) * \
+                        self.decay ** len(table)
+                    table.append((m, b))
+            except OverflowError:
+                raise ValueError("stage sizes overflow a float") from None
+        object.__setattr__(self, "table", tuple(table))
+        object.__setattr__(self, "_check_sizes",
+                           frozenset(m for m, _ in table))
 
     # -- stage access ------------------------------------------------------
 
@@ -82,38 +100,18 @@ class StageSchedule:
         """(m_l, b_l) for 1-based stage index ell."""
         if ell < 1:
             raise ValueError("stage index is 1-based")
-        if ell <= len(self.stages):
-            return self.stages[ell - 1], self.budgets[ell - 1]
-        if not self.unbounded:
-            raise IndexError(f"finite schedule has {len(self.stages)} stages")
-        m = self.stages[-1]
-        for _ in range(ell - len(self.stages)):
-            m = max(m + 1, math.ceil(m * self.ratio))
-        b = self.delta * (1.0 - self.decay) * self.decay ** (ell - 1)
-        return m, b
+        return self.table[ell - 1]
 
     def iter_stages(self) -> Iterator[Tuple[int, int, float]]:
-        """Yield (ell, m_l, b_l); infinite for unbounded schedules."""
-        ell = 1
-        while True:
-            try:
-                m, b = self.stage(ell)
-            except IndexError:
-                return
+        """Yield (ell, m_l, b_l) over the stage table."""
+        for ell, (m, b) in enumerate(self.table, 1):
             yield ell, m, b
-            ell += 1
 
     def in_check_set(self, n: int) -> bool:
-        if self.check_every == 1:
+        every = self.check_every
+        if every is not None and n % every == 0:
             return True
-        if self.check_every is not None and n % self.check_every == 0:
-            return True
-        if self.unbounded:
-            m = self.stages[0]
-            while m < n:
-                m = max(m + 1, math.ceil(m * self.ratio))
-            return m == n
-        return n in self.stages
+        return n in self._check_sizes
 
     @property
     def final_stage_size(self) -> Optional[int]:
@@ -163,6 +161,28 @@ class StageSchedule:
         )
 
 
+def _finite_schedule(epsilon: float, delta: float, s: int, rule: str,
+                     m1: int, ms: int) -> StageSchedule:
+    """s stages geometric between m1 and ms (just ms if m1 >= ms), each
+    with budget delta / s; rounding duplicates are shifted upward."""
+    if s > MAX_STAGES:
+        raise ValueError(f"a schedule has at most {MAX_STAGES} stages")
+    if s == 1 or m1 >= ms:
+        stages = [ms]
+    else:
+        raw = [m1 * (ms / m1) ** (k / (s - 1)) for k in range(s)]
+        stages = []
+        for r in raw:
+            m = math.ceil(r - 1e-9)
+            if stages and m <= stages[-1]:
+                m = stages[-1] + 1
+            stages.append(m)
+        stages[-1] = max(stages[-1], ms)
+    return StageSchedule(epsilon=epsilon, delta=delta, s=s, rule=rule,
+                         stages=tuple(stages),
+                         budgets=tuple([delta / s] * len(stages)))
+
+
 def plan_bounded_abs(epsilon: float, delta: float, s: int, rule: str = "A") -> StageSchedule:
     """Finite schedule for absolute-error bounded-mean estimation (rules A/B).
 
@@ -187,10 +207,7 @@ def plan_bounded_abs(epsilon: float, delta: float, s: int, rule: str = "A") -> S
     else:
         m1 = math.ceil((24.0 * epsilon - 16.0 * epsilon * epsilon) / 9.0
                        * log_term / (2.0 * epsilon * epsilon))
-    stages = tuple(_geometric_stages(m1, ms, s))
-    budgets = tuple([delta / s] * len(stages))
-    return StageSchedule(epsilon=epsilon, delta=delta, s=s, rule=rule,
-                         stages=stages, budgets=budgets)
+    return _finite_schedule(epsilon, delta, s, rule, m1, ms)
 
 
 def plan_geometric_mean(epsilon: float, delta: float, s: int) -> StageSchedule:
@@ -205,10 +222,7 @@ def plan_geometric_mean(epsilon: float, delta: float, s: int) -> StageSchedule:
     denom = (1.0 + epsilon) * math.log1p(epsilon) - epsilon
     ms = math.ceil((1.0 + epsilon) * log_term / denom)
     m1 = ms if s == 1 else math.ceil(log_term / math.log1p(epsilon))
-    stages = tuple(_geometric_stages(m1, ms, s))
-    budgets = tuple([delta / s] * len(stages))
-    return StageSchedule(epsilon=epsilon, delta=delta, s=s, rule="D",
-                         stages=stages, budgets=budgets)
+    return _finite_schedule(epsilon, delta, s, "D", m1, ms)
 
 
 def plan_unbounded(delta: float, m1: int, ratio: float = 2.0,
@@ -221,10 +235,6 @@ def plan_unbounded(delta: float, m1: int, ratio: float = 2.0,
     """
     if m1 < 1:
         raise ValueError("m1 must be a positive integer")
-    if ratio <= 1.0:
-        raise ValueError("ratio must exceed 1")
-    if not 0.0 < decay < 1.0:
-        raise ValueError("decay must lie in (0, 1)")
     budgets = (delta * (1.0 - decay),)
     return StageSchedule(epsilon=epsilon, delta=delta, s=1, rule=rule,
                          stages=(m1,), budgets=budgets, unbounded=True,

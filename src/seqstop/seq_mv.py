@@ -6,13 +6,12 @@ that interval falls inside the target precision band around the sample
 mean.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Tuple
 
-from .fixed_ci import SampleSummary, ci_mean
+from .fixed_ci import ci_mean
 from .rules import EstimationGoal, RunningSample, StopDecision, feed
-from .schedules import _geometric_stages
+from .schedules import plan_bounded_abs
 
 __all__ = ["MvPlan", "plan_mv", "run_mv"]
 
@@ -36,19 +35,9 @@ class MvPlan:
 
 
 def plan_mv(epsilon: float, delta: float, s: int) -> MvPlan:
-    """Stage sizes running geometrically from ceil(ln(2s/d) / ln(1/(1-e)))
+    """Rule A's stage sizes: geometric from ceil(ln(2s/d) / ln(1/(1-e)))
     up to ceil(ln(2s/d) / (2 e^2))."""
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError("epsilon must lie in (0, 1/2)")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    if s < 1:
-        raise ValueError("s must be a positive integer")
-    log_term = math.log(2.0 * s / delta)
-    n_last = math.ceil(log_term / (2.0 * epsilon * epsilon))
-    n_first = n_last if s == 1 else math.ceil(
-        log_term / math.log(1.0 / (1.0 - epsilon)))
-    sizes = tuple(_geometric_stages(n_first, n_last, s))
+    sizes = plan_bounded_abs(epsilon, delta, s, "A").stages
     return MvPlan(epsilon=epsilon, delta=delta, s=s, sizes=sizes)
 
 
@@ -72,9 +61,7 @@ def run_mv(stream: Iterable[float], plan: MvPlan) -> StopDecision:
         feed(state, x, goal)
         if state.n in checkpoints:
             stage = plan.sizes.index(state.n) + 1
-            summary = SampleSummary(n=state.n, mean=state.mean,
-                                    var=min(state.var, 0.25))
-            interval = ci_mean(summary, plan.stage_budget)
+            interval = ci_mean(state.summary(), plan.stage_budget)
             last_ci = interval
             xbar = state.mean
             if xbar - eps <= interval.lower and interval.upper <= xbar + eps:

@@ -1,7 +1,15 @@
 """Shared pytest plumbing: collects one verdict line per acceptance
-criterion and prints them in the terminal summary."""
+criterion and prints them in the terminal summary, and keeps hypothesis's
+files out of the checkout."""
 
+import shutil
+import tempfile
 from typing import List
+
+import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
+
+_HYPOTHESIS_HOME = pytest.StashKey[str]()
 
 _verdicts: List[str] = []
 
@@ -15,3 +23,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in _verdicts:
             terminalreporter.write_line(line)
+
+
+def pytest_configure(config):
+    # hypothesis caches constants read from local sources under its home
+    # directory (./.hypothesis by default) while tests are collected
+    home = tempfile.mkdtemp(prefix="seqstop-hypothesis-")
+    config.stash[_HYPOTHESIS_HOME] = home
+    set_hypothesis_home_dir(home)
+
+
+def pytest_unconfigure(config):
+    set_hypothesis_home_dir(None)
+    shutil.rmtree(config.stash[_HYPOTHESIS_HOME], ignore_errors=True)

@@ -21,8 +21,9 @@ from seqstop.schedules import (plan_bounded_abs, plan_geometric_mean,
                                plan_unbounded)
 from seqstop.seq_mv import plan_mv
 from seqstop.sim import (DistributionSpec, coverage_chunk,
-                         coverage_experiment, generate, oracle_ci_grid,
-                         oracle_sequence_limits)
+                         coverage_experiment, generate)
+
+from oracles import oracle_ci_grid, oracle_sequence_limits
 
 FD_STEP = 1e-6
 FD_DEAD_ZONE = 1e-9

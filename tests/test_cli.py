@@ -1,11 +1,19 @@
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seqstop.cli import main
+from seqstop.cli import _json_12sig, main
 from seqstop.fixed_ci import SampleSummary, _div_above, _div_below, _phi_ext
-from seqstop.schedules import StageSchedule
+from seqstop.rules import EstimationGoal
+from seqstop.schedules import StageSchedule, plan_unbounded
+from seqstop.sim import DistributionSpec, coverage_experiment, generate
 
 
 def run_cli(capsys, *argv):
@@ -119,6 +127,75 @@ def test_simulate_ci_requires_fixed_n(capsys):
     assert "fixed-n" in err
 
 
+def test_simulate_ci_rejects_zero_fixed_n(capsys):
+    code, _, err = run_cli(capsys, "simulate", "--procedure", "ci",
+                           "--reps", "5", "--fixed-n", "0")
+    assert code == 2
+    assert "fixed-n" in err
+
+
+def test_simulate_rejects_negative_reps(capsys):
+    code, out, _ = run_cli(capsys, "simulate", "--reps", "-5")
+    assert code == 2
+    assert out == ""
+
+
+def test_simulate_rejects_non_finite_distribution(capsys):
+    code, _, _ = run_cli(capsys, "simulate", "--procedure", "D",
+                         "--dist", "geometric", "--theta", "inf",
+                         "--reps", "3")
+    assert code == 2
+
+
+def test_simulate_procedure_picks_rule_schedule(capsys):
+    code, out, _ = run_cli(capsys, "simulate", "--procedure", "C",
+                           "--epsilon", "0.2", "--p", "0.5", "--reps", "20",
+                           "--seed", "3")
+    assert code == 0
+    spec = DistributionSpec("bernoulli", {"p": 0.5}, seed=3)
+    report = coverage_experiment(
+        "C", spec, goal=EstimationGoal("bounded", "rel", 0.2, 0.05),
+        schedule=plan_unbounded(0.05, 50, rule="C", epsilon=0.2), reps=20)
+    assert json.loads(out) == json.loads(_json_12sig(report.to_json()))
+
+
+def test_simulate_procedure_picks_rule_family(capsys):
+    code, out, _ = run_cli(capsys, "simulate", "--procedure", "E",
+                           "--dist", "poisson", "--lam", "4",
+                           "--epsilon", "0.5", "--reps", "5")
+    assert code == 0
+    assert json.loads(out)["replications"] == 5
+
+
+def test_run_rule_picks_family(capsys, tmp_path):
+    spec = DistributionSpec("geometric", {"theta": 4.0}, seed=2)
+    path = write_stream(tmp_path, list(generate(spec, 400)))
+    code, out, _ = run_cli(capsys, "run", "--rule", "D", "--epsilon", "0.2",
+                           "--input", path)
+    assert code == 0
+    assert json.loads(out)["status"] == "stopped"
+
+
+@pytest.mark.parametrize("rule", "DEF")
+def test_run_infinite_observation_is_data_error(capsys, tmp_path, rule):
+    path = write_stream(tmp_path, [2.0, "inf"])
+    code, _, err = run_cli(capsys, "run", "--rule", rule, "--input", path)
+    assert code == 3
+    assert "inf" in err
+
+
+@pytest.mark.parametrize("command", ["plan", "run"])
+@pytest.mark.parametrize("ratio", ["inf", "1.000000001"])
+def test_bad_ratio_is_usage_error(capsys, tmp_path, command, ratio):
+    path = write_stream(tmp_path, [0.5] * 10)
+    argv = [command, "--rule", "C", "--ratio", ratio]
+    if command == "run":
+        argv += ["--input", path]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+
+
 def test_region_csv_rows_satisfy_equations(capsys, tmp_path):
     values = [0.0] * 60 + [1.0] * 40
     path = write_stream(tmp_path, values)
@@ -166,3 +243,41 @@ def test_config_defaults_apply(capsys, tmp_path):
 def test_config_missing_file(capsys):
     code, _, err = run_cli(capsys, "--config", "/nonexistent.json", "plan")
     assert code == 2
+
+
+def _quiet_main(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-5, 30).map(str),
+    st.sampled_from(["inf", "-inf", "nan", "-1", "0.5", "2.5", "1e400",
+                     "abc", "1,2", "--"]),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(rule=st.sampled_from("ABCDEF"),
+       tokens=st.lists(_TOKENS, max_size=60))
+def test_run_exit_codes_on_any_stream(rule, tokens):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "stream.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(tokens))
+        code = _quiet_main(["run", "--rule", rule, "--input", path])
+    assert code in (0, 2, 3)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(procedure=st.sampled_from(["A", "B", "C", "D", "E", "F", "mv", "ci"]),
+       reps=st.integers(-3, 3), fixed_n=st.integers(-2, 40))
+def test_simulate_exit_codes_on_small_counts(procedure, reps, fixed_n):
+    family = {"D": ["--dist", "geometric"], "E": ["--dist", "poisson"],
+              "F": ["--dist", "poisson"]}.get(procedure, [])
+    code = _quiet_main(["simulate", "--procedure", procedure, *family,
+                        "--epsilon", "0.3", "--reps", str(reps),
+                        "--fixed-n", str(fixed_n)])
+    assert code in (0, 2, 3)

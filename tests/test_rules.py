@@ -34,6 +34,10 @@ def test_feed_rejects_out_of_support():
     poi = EstimationGoal("poisson", "abs", 0.5, 0.05)
     with pytest.raises(ValueError):
         feed(RunningSample(), -1.0, poi)
+    for goal in (geo, poi):
+        for x in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError):
+                feed(RunningSample(), x, goal)
 
 
 def test_goal_validation():
@@ -158,3 +162,13 @@ def test_stopped_condition_reevaluates_true():
     st = RunningSample(n=decision.n, total=decision.estimate * decision.n,
                        total_sq=decision.estimate * decision.n)
     assert stop_stage("A", st, sched, GOAL_ABS) == decision.stage
+
+
+def test_wrong_family_goal_is_rejected():
+    sched = plan_geometric_mean(0.2, 0.05, 5)
+    goal = EstimationGoal("bounded", "abs", 0.2, 0.05)
+    with pytest.raises(ValueError):
+        run_to_stop(iter([2.0] * 400), "D", sched, goal)
+    with pytest.raises(ValueError):
+        stop_stage("D", RunningSample(n=30, total=60.0, total_sq=120.0),
+                   sched, goal)

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from seqstop.schedules import (DEFAULT_CAP, StageSchedule, plan_bounded_abs,
+from seqstop.schedules import (DEFAULT_CAP, MAX_STAGES, STAGE_SCAN_FACTOR,
+                               StageSchedule, plan_bounded_abs,
                                plan_geometric_mean, plan_unbounded)
 
 
@@ -108,6 +109,24 @@ def test_json_round_trip():
         assert again == sched
 
 
+def test_documents_written_before_the_stage_table_still_load():
+    docs = {
+        "A": '{"epsilon": 0.2, "delta": 0.05, "s": 5, "rule": "A", '
+             '"stages": [24, 32, 41, 52, 67], "budgets": [0.01, 0.01, 0.01, '
+             '0.01, 0.01], "unbounded": false, "ratio": 2.0, "decay": 0.5, '
+             '"cap": 10000000, "check_set": "stage-only"}',
+        "C": '{"epsilon": 0.2, "delta": 0.05, "s": 1, "rule": "C", '
+             '"stages": [50], "budgets": [0.025], "unbounded": true, '
+             '"ratio": 2.0, "decay": 0.5, "cap": 10000000, '
+             '"check_set": "stage-only"}',
+    }
+    assert StageSchedule.from_json(docs["A"]) == \
+        plan_bounded_abs(0.2, 0.05, 5, "A")
+    again = StageSchedule.from_json(docs["C"])
+    assert again == plan_unbounded(0.05, 50, epsilon=0.2, rule="C")
+    assert again.table == plan_unbounded(0.05, 50).table
+
+
 def test_check_set_policies():
     sched = plan_bounded_abs(0.1, 0.05, 5, "A")
     assert sched.in_check_set(51)
@@ -129,3 +148,47 @@ def test_unbounded_check_set_hits_stage_sizes():
 
 def test_default_cap():
     assert plan_unbounded(0.05, 50).cap == DEFAULT_CAP
+
+
+def test_unbounded_check_set_agrees_with_stage_table():
+    sched = StageSchedule(epsilon=0.1, delta=0.05, s=2, rule="C",
+                          stages=(50, 120), budgets=(0.02, 0.01),
+                          unbounded=True, cap=10 ** 4)
+    sizes = {sched.stage(ell)[0] for ell in range(1, 12)}
+    assert sched.stage(2) == (120, 0.01)
+    for n in range(1, 5000):
+        assert sched.in_check_set(n) == (n in sizes), n
+
+
+@pytest.mark.parametrize("kwargs", [
+    {},
+    {"ratio": 1.5, "decay": 0.3, "cap": 10 ** 6},
+])
+def test_unbounded_table_matches_lazy_recurrence(kwargs):
+    sched = plan_unbounded(0.05, 50, **kwargs)
+    limit = sched.cap * STAGE_SCAN_FACTOR
+    m, ell = 50, 1
+    while True:
+        b = sched.delta * (1.0 - sched.decay) * sched.decay ** (ell - 1)
+        assert sched.stage(ell) == (m, b)
+        if m >= limit:
+            break
+        m = max(m + 1, math.ceil(m * sched.ratio))
+        ell += 1
+    with pytest.raises(IndexError):
+        sched.stage(ell + 1)
+    assert list(sched.iter_stages()) == [
+        (k, *sched.stage(k)) for k in range(1, ell + 1)]
+
+
+def test_ratio_close_to_one_within_stage_limit():
+    sched = plan_unbounded(0.05, 50, ratio=1.001)
+    assert 10 ** 4 < len(sched.table) < MAX_STAGES // 4
+
+
+def test_unbounded_rejects_non_finite_and_slow_ratios():
+    for ratio in (math.inf, math.nan, 1.000000001):
+        with pytest.raises(ValueError):
+            plan_unbounded(0.05, 50, ratio=ratio)
+    with pytest.raises(ValueError):
+        plan_bounded_abs(0.1, 0.05, MAX_STAGES + 1, "A")

@@ -7,9 +7,10 @@ from seqstop.rules import EstimationGoal, RunningSample
 from seqstop.schedules import plan_bounded_abs
 from seqstop.sim import (CoverageReport, DistributionSpec, Rng,
                          coverage_chunk, coverage_experiment, generate,
-                         oracle_ci_grid, oracle_sequence_limits,
                          report_from_chunks)
 from seqstop.fixed_ci import SampleSummary, ci_mean
+
+from oracles import oracle_ci_grid, oracle_sequence_limits
 
 
 def test_rng_uniform_range_and_determinism():
@@ -72,6 +73,10 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         DistributionSpec("discrete", {"support": [0.0, 0.5],
                                       "probs": [0.9, 0.2]})
+    with pytest.raises(ValueError):
+        DistributionSpec("geometric", {"theta": math.inf})
+    with pytest.raises(ValueError):
+        DistributionSpec("scaled-beta", {"alpha": math.inf, "beta": 2.0})
 
 
 def test_geometric_support():
