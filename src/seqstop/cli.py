@@ -53,11 +53,32 @@ def _read_stream(path: str) -> List[float]:
     return [float(token) for token in text.split()]
 
 
+def _read_schedule(args, rule: str) -> StageSchedule:
+    """The --schedule file, which must be planned for these flags."""
+    path = args.schedule
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            sched = StageSchedule.from_json(fh.read())
+        # plan writes floats at 12 significant digits
+        for key, planned, flag in (
+                ("rule", sched.rule, rule),
+                ("epsilon", _round_sig(sched.epsilon),
+                 _round_sig(args.epsilon)),
+                ("delta", _round_sig(sched.delta), _round_sig(args.delta))):
+            if planned != flag:
+                raise ValueError(f"schedule file {path} has {key} "
+                                 f"{planned!r} but the flags give {flag!r}")
+    except KeyError as exc:
+        raise ValueError(f"schedule file {path} lacks key {exc}") from None
+    except (OSError, TypeError, AttributeError) as exc:
+        raise ValueError(f"bad schedule file {path}: {exc}") from None
+    return sched
+
+
 def _build_schedule(args, rule: str) -> StageSchedule:
     """The --schedule file if given, else the rule's default planner."""
     if args.schedule:
-        with open(args.schedule, "r", encoding="utf-8") as fh:
-            return StageSchedule.from_json(fh.read())
+        return _read_schedule(args, rule)
     if rule in ("A", "B"):
         return schedules.plan_bounded_abs(args.epsilon, args.delta,
                                           args.stages, rule)
@@ -266,27 +287,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    # a config file supplies defaults; explicit flags still win because
-    # they are parsed after the defaults are installed
-    config_path = None
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            config_path = argv[i + 1]
-        elif tok.startswith("--config="):
-            config_path = tok.split("=", 1)[1]
-    if config_path:
-        try:
-            with open(config_path, "r", encoding="utf-8") as fh:
-                defaults = json.load(fh)
-        except (OSError, ValueError) as exc:
-            print(f"error: bad config file: {exc}", file=sys.stderr)
-            return USAGE_ERROR
-        for sp in parser._subparsers._group_actions[0].choices.values():
-            sp.set_defaults(**{k: v for k, v in defaults.items()})
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # config values become the command's defaults, so explicit
+            # flags still win; each passes its flag's type and choices
+            # checks, given as its JSON text
+            with open(args.config, "r", encoding="utf-8") as fh:
+                config = json.load(fh)
+            if not isinstance(config, dict):
+                raise ValueError("not a JSON object")
+            sp = parser._subparsers._group_actions[0].choices[args.command]
+            for action in sp._actions:
+                if action.dest in config:
+                    value = config[action.dest]
+                    text = value if isinstance(value, str) else \
+                        json.dumps(value)
+                    sp.set_defaults(
+                        **{action.dest: sp._get_values(action, [text])})
+            args = parser.parse_args(argv)
+    except (OSError, ValueError, argparse.ArgumentError) as exc:
+        print(f"error: bad config file: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:

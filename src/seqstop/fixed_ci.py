@@ -10,7 +10,7 @@ sufficient condition that sharpens as the subinterval shrinks.
 import json
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from scipy.optimize import brentq
 
@@ -35,7 +35,10 @@ BISECT_TOL = 1e-10   # width of the final bracket around the phi crossing
 
 @dataclass(frozen=True)
 class SampleSummary:
-    """Count, sample mean and (population-style) sample variance."""
+    """Count, sample mean and (population-style) sample variance.
+
+    A var within the rounding tolerance below 0 is stored as 0.
+    """
 
     n: int
     mean: float
@@ -48,6 +51,8 @@ class SampleSummary:
             raise ValueError("mean must lie in [0, 1]")
         if not -1e-12 <= self.var <= 0.25 + 1e-12:
             raise ValueError("var must lie in [0, 1/4]")
+        if self.var < 0.0:
+            object.__setattr__(self, "var", 0.0)
 
     def w(self, nu: float) -> float:
         """Second moment about a hypothesized mean nu."""
@@ -62,10 +67,6 @@ class ConfidenceInterval:
     delta: float
     lower: float
     upper: float
-
-    @property
-    def level(self) -> float:
-        return 1.0 - self.delta
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "mean": self.mean, "var": self.var,
@@ -89,10 +90,6 @@ class ConfidenceRegion:
     threshold: float
     points: Tuple[Tuple[str, float, float], ...]
 
-    @property
-    def level(self) -> float:
-        return 1.0 - self.delta
-
     def to_csv(self) -> str:
         lines = ["curve,nu,vartheta"]
         for curve, nu, th in self.points:
@@ -111,18 +108,14 @@ def _phi_ext(w: float, theta: float) -> float:
     return phi(w, theta)
 
 
-def _div_above(xbar: float, nu: float, theta: float) -> float:
-    """Lower-tail divergence for a candidate mean nu >= xbar."""
-    if nu <= xbar:
-        return 0.0
-    return varphi(xbar, nu, theta)
-
-
-def _div_below(xbar: float, nu: float, theta: float) -> float:
-    """Upper-tail divergence for a candidate mean nu < xbar."""
-    if nu >= xbar:
-        return 0.0
-    return psi(xbar, nu, theta)
+def _div(xbar: float, nu: float, theta: float) -> float:
+    """Tail divergence of a candidate mean nu from xbar: the lower tail
+    (varphi) above the mean, the upper tail (psi) below it, 0 at it."""
+    if nu > xbar:
+        return varphi(xbar, nu, theta)
+    if nu < xbar:
+        return psi(xbar, nu, theta)
+    return 0.0
 
 
 def _phi_crossing_lower_bound(w: float, c: float, threshold: float) -> float:
@@ -145,6 +138,31 @@ def _phi_crossing_lower_bound(w: float, c: float, threshold: float) -> float:
 
 # -- interval-wise scan predicates -----------------------------------------
 
+def _subinterval_holds(kernel: Callable[..., float], near: float,
+                       far: float, summary: SampleSummary,
+                       threshold: float) -> bool:
+    """Sufficient condition for the scan predicate on the subinterval
+    between far (the end away from the mean) and near.
+
+    kernel(mean, near, t) is that side's tail divergence, decreasing in
+    the variance bound t.  The admissible t run up to c, the largest
+    nu (1 - nu) on the subinterval, but not past the crossing of
+    phi(w(far), t) = threshold above w(far); the kernel must exceed the
+    threshold at the largest admissible t.
+    """
+    xbar = summary.mean
+    c = max(far * (1.0 - far), near * (1.0 - near))
+    w = summary.w(far)
+    if w >= c:
+        return kernel(xbar, near, c) > threshold
+    if kernel(xbar, near, w) <= threshold:
+        return False
+    if _phi_ext(w, c) <= threshold:
+        return kernel(xbar, near, c) > threshold
+    t_low = _phi_crossing_lower_bound(w, c, threshold)
+    return kernel(xbar, near, t_low) > threshold
+
+
 def state_b_holds(a: float, b: float, summary: SampleSummary,
                   threshold: float) -> bool:
     """Sufficient condition for the lower-limit predicate on all of [a, b].
@@ -152,91 +170,58 @@ def state_b_holds(a: float, b: float, summary: SampleSummary,
     Requires 0 <= a <= b < mean with b > 0.  True means every nu in
     [a, b] satisfies the defining scan predicate.
     """
-    xbar = summary.mean
-    if not 0.0 <= a <= b < xbar or b <= 0.0:
+    if not 0.0 <= a <= b < summary.mean or b <= 0.0:
         raise ValueError("need 0 <= a <= b < mean with b > 0")
-    c = max(a * (1.0 - a), b * (1.0 - b))
-    wa = summary.w(a)
-    if wa >= c:
-        return psi(xbar, b, c) > threshold
-    if psi(xbar, b, wa) <= threshold:
-        return False
-    if _phi_ext(wa, c) <= threshold:
-        return psi(xbar, b, c) > threshold
-    t_low = _phi_crossing_lower_bound(wa, c, threshold)
-    return psi(xbar, b, t_low) > threshold
+    return _subinterval_holds(psi, b, a, summary, threshold)
 
 
 def state_bu_holds(a: float, b: float, summary: SampleSummary,
                    threshold: float) -> bool:
     """Mirror of :func:`state_b_holds` for [a, b] above the mean."""
-    xbar = summary.mean
-    if not xbar < a <= b <= 1.0:
+    if not summary.mean < a <= b <= 1.0:
         raise ValueError("need mean < a <= b <= 1")
-    c = max(a * (1.0 - a), b * (1.0 - b))
-    wb = summary.w(b)
-    if wb >= c:
-        return varphi(xbar, a, c) > threshold
-    if varphi(xbar, a, wb) <= threshold:
-        return False
-    if _phi_ext(wb, c) <= threshold:
-        return varphi(xbar, a, c) > threshold
-    t_low = _phi_crossing_lower_bound(wb, c, threshold)
-    return varphi(xbar, a, t_low) > threshold
+    return _subinterval_holds(varphi, a, b, summary, threshold)
 
 
-# -- adaptive scans --------------------------------------------------------
+# -- adaptive scan ---------------------------------------------------------
+
+def _sweep(summary: SampleSummary, delta: float, edge: float,
+           holds: Callable[..., bool]) -> float:
+    """Confidence limit swept from edge (0 or 1) toward the mean.
+
+    Each step tries the subinterval of width d next to the accepted part;
+    an accepted step moves the limit there and doubles d, a rejected one
+    shrinks d by ever larger powers of two.  The sweep ends once d < ETA.
+    """
+    xbar = summary.mean
+    if xbar == edge:
+        return edge
+    threshold = math.log(3.0 / delta) / summary.n
+    up = xbar > edge
+    sign = 1.0 if up else -1.0
+    bound = sign * xbar
+    d = max(abs(xbar - edge) / 8.0, 1e-3)
+    x, ell = edge, 1
+    while True:
+        d *= 2.0 ** ell
+        y = x + sign * d
+        ell -= 1
+        # holds takes the subinterval's ends in increasing order
+        if sign * y < bound and (holds(x, y, summary, threshold) if up
+                                 else holds(y, x, summary, threshold)):
+            x, ell = y, 1
+        if d < ETA:
+            return x
+
 
 def lower_limit(summary: SampleSummary, delta: float) -> float:
     """Lower confidence limit at level 1 - delta; 0 when the mean is 0."""
-    xbar = summary.mean
-    if xbar <= 0.0:
-        return 0.0
-    threshold = math.log(3.0 / delta) / summary.n
-    d = max(xbar / 8.0, 1e-3)
-    a = 0.0
-    finished = False
-    while not finished:
-        settled = False
-        ell = 2
-        while not settled:
-            ell -= 1
-            d *= 2.0 ** ell
-            if a + d < xbar:
-                b = a + d
-                if state_b_holds(a, b, summary, threshold):
-                    settled = True
-                    a = b
-            if d < ETA:
-                settled = True
-                finished = True
-    return a
+    return _sweep(summary, delta, 0.0, state_b_holds)
 
 
 def upper_limit(summary: SampleSummary, delta: float) -> float:
     """Upper confidence limit at level 1 - delta; 1 when the mean is 1."""
-    xbar = summary.mean
-    if xbar >= 1.0:
-        return 1.0
-    threshold = math.log(3.0 / delta) / summary.n
-    d = max((1.0 - xbar) / 8.0, 1e-3)
-    b = 1.0
-    finished = False
-    while not finished:
-        settled = False
-        ell = 2
-        while not settled:
-            ell -= 1
-            d *= 2.0 ** ell
-            if b - d > xbar:
-                a = b - d
-                if state_bu_holds(a, b, summary, threshold):
-                    settled = True
-                    b = a
-            if d < ETA:
-                settled = True
-                finished = True
-    return b
+    return _sweep(summary, delta, 1.0, state_bu_holds)
 
 
 def ci_mean(summary: SampleSummary, delta: float) -> ConfidenceInterval:
@@ -259,14 +244,8 @@ def region_contains(summary: SampleSummary, delta: float,
     if not 0.0 < vartheta <= nu * (1.0 - nu):
         return False
     threshold = math.log(4.0 / delta) / summary.n
-    xbar = summary.mean
-    if nu >= xbar:
-        div = _div_above(xbar, nu, vartheta)
-    else:
-        div = _div_below(xbar, nu, vartheta)
-    if div >= threshold:
-        return False
-    return _phi_ext(summary.w(nu), vartheta) < threshold
+    return _div(summary.mean, nu, vartheta) < threshold and \
+        _phi_ext(summary.w(nu), vartheta) < threshold
 
 
 def _phi_roots(w: float, threshold: float,
@@ -281,18 +260,17 @@ def _phi_roots(w: float, threshold: float,
         return []
     roots: List[float] = []
     # branch below w: walk the lower end down until the value exceeds
-    # the threshold, then solve
+    # the threshold, then solve; there is no root once the end reaches 0
     lo = w / 2.0
     for _ in range(200):
+        if lo == 0.0:
+            break
         if _phi_ext(w, lo) > threshold:
+            r = brentq(lambda t: _phi_ext(w, t) - threshold, lo, w,
+                       xtol=1e-15, rtol=8.9e-16)
+            roots.append(float(r))
             break
         lo /= 2.0
-    else:
-        lo = None
-    if lo is not None:
-        r = brentq(lambda t: _phi_ext(w, t) - threshold, lo, w,
-                   xtol=1e-15, rtol=8.9e-16)
-        roots.append(float(r))
     # branch above w
     if w < cap and _phi_ext(w, cap) > threshold:
         r = brentq(lambda t: _phi_ext(w, t) - threshold, w, cap,
@@ -317,57 +295,49 @@ def region_boundary(summary: SampleSummary, delta: float,
     threshold = math.log(4.0 / delta) / summary.n
     points: List[Tuple[str, float, float]] = []
 
-    def emit_side(upper_side: bool) -> None:
-        div = _div_above if upper_side else _div_below
-        env, tailcurve, phicurve = (
-            ("C1", "C2", "C3") if upper_side else ("D1", "D2", "D3"))
-        if upper_side:
-            lo_nu, hi_nu = xbar, 1.0
-        else:
-            lo_nu, hi_nu = 0.0, xbar
-        if hi_nu - lo_nu <= 0.0:
-            return
+    def emit_side(curves: Tuple[str, str, str], lo_nu: float, hi_nu: float,
+                  shift: float, bracket: Tuple[float, float],
+                  far: float) -> None:
+        """Points of one side: curves at nu = lo_nu + (k + shift) step
+        below hi_nu, and the tail curve solved on bracket, whose end
+        away from the mean is far."""
+        env, tailcurve, phicurve = curves
         step = (hi_nu - lo_nu) / resolution
-        nus = [lo_nu + k * step for k in range(resolution)]
-        if not upper_side:
-            nus = [nu + step for nu in nus]  # (0, xbar] rather than [0, xbar)
-            nus = [nu for nu in nus if nu < xbar]
-        for nu in nus:
-            if not 0.0 < nu < 1.0:
+        for k in range(resolution):
+            nu = lo_nu + k * step + shift * step
+            if not 0.0 < nu < hi_nu:
                 continue
             tmax = nu * (1.0 - nu)
             # envelope point, kept when the inequality constraints allow it
-            if div(xbar, nu, tmax) < threshold and \
+            if _div(xbar, nu, tmax) < threshold and \
                     _phi_ext(summary.w(nu), tmax) < threshold:
                 points.append((env, nu, tmax))
             for root in _phi_roots(summary.w(nu), threshold):
-                if root <= tmax and div(xbar, nu, root) < threshold:
+                if root <= tmax and _div(xbar, nu, root) < threshold:
                     points.append((phicurve, nu, root))
         # tail-divergence curve: solve for nu at fixed vartheta, using
-        # monotonicity of the divergence in nu away from the mean
+        # monotonicity of the divergence in nu away from the mean; there
+        # is none when the mean lies within 1e-9 of this side's edge
+        if bracket[0] >= bracket[1]:
+            return
         for k in range(1, resolution + 1):
             th = 0.25 * k / resolution
-            if upper_side:
-                bracket = (xbar, 1.0 - 1e-9)
-            else:
-                bracket = (1e-9, xbar)
-            f = lambda nu: div(xbar, nu, th) - threshold
-            far = bracket[1] if upper_side else bracket[0]
-            try:
-                if f(far) <= 0.0:
-                    continue  # divergence never reaches the threshold
-                nu_root = float(brentq(f, bracket[0], bracket[1],
-                                       xtol=1e-15, rtol=8.9e-16))
-            except ValueError:
-                continue
+            f = lambda nu: _div(xbar, nu, th) - threshold
+            if f(far) <= 0.0:
+                continue  # divergence never reaches the threshold
+            nu_root = float(brentq(f, bracket[0], bracket[1],
+                                   xtol=1e-15, rtol=8.9e-16))
             if th <= nu_root * (1.0 - nu_root) and \
                     _phi_ext(summary.w(nu_root), th) < threshold:
                 points.append((tailcurve, nu_root, th))
 
+    # above the mean nu starts at the mean; below it nu starts one step
+    # above 0 and stays under the mean
     if xbar < 1.0:
-        emit_side(True)
+        emit_side(("C1", "C2", "C3"), xbar, 1.0, 0.0,
+                  (xbar, 1.0 - 1e-9), 1.0 - 1e-9)
     if xbar > 0.0:
-        emit_side(False)
+        emit_side(("D1", "D2", "D3"), 0.0, xbar, 1.0, (1e-9, xbar), 1e-9)
     return ConfidenceRegion(n=summary.n, mean=xbar, var=summary.var,
                             delta=delta, threshold=threshold,
                             points=tuple(points))

@@ -91,12 +91,13 @@ def phi(z: float, theta: float) -> float:
 def varphi(z: float, nu: float, theta: float) -> float:
     """Lower-tail Hoeffding exponent for a mean nu and variance bound theta.
 
-    Domain: 0 <= z < nu < 1 and theta > 0.  z == 0 is the continuous
-    extension (the weight of the z-dependent log term vanishes there);
+    Domain: 0 <= z < nu <= 1 and theta > 0.  z == 0 is the continuous
+    extension (the weight of the z-dependent log term vanishes there), and
+    so is nu == 1, which :func:`psi` needs when 1 - nu rounds to 1;
     z == nu is rejected, callers use one-sided offsets.
     """
-    if not 0.0 < nu < 1.0:
-        raise ValueError(f"nu must lie in (0, 1), got {nu!r}")
+    if not 0.0 < nu <= 1.0:
+        raise ValueError(f"nu must lie in (0, 1], got {nu!r}")
     if not 0.0 <= z < nu:
         raise ValueError(f"z must lie in [0, nu), got {z!r}")
     if theta <= 0.0:
@@ -112,10 +113,16 @@ def varphi(z: float, nu: float, theta: float) -> float:
 def psi(z: float, nu: float, theta: float) -> float:
     """Upper-tail mirror of :func:`varphi`: psi(z, nu, t) = varphi(1-z, 1-nu, t).
 
-    Domain: 0 < nu < z <= 1 and theta > 0.
+    Domain: 0 < nu < z <= 1 and theta > 0.  When 1 - z rounds onto
+    1 - nu the mirror cannot be taken, and the value is varphi's
+    continuous limit 0 at z = nu.
     """
     if not 0.0 < nu < 1.0:
         raise ValueError(f"nu must lie in (0, 1), got {nu!r}")
     if not nu < z <= 1.0:
         raise ValueError(f"z must lie in (nu, 1], got {z!r}")
+    if theta <= 0.0:
+        raise ValueError(f"theta must be positive, got {theta!r}")
+    if 1.0 - z >= 1.0 - nu:
+        return 0.0
     return varphi(1.0 - z, 1.0 - nu, theta)

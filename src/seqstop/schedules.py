@@ -8,7 +8,7 @@ budgets and a hard safety cap on total samples).
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 __all__ = [
     "StageSchedule",
@@ -102,20 +102,11 @@ class StageSchedule:
             raise ValueError("stage index is 1-based")
         return self.table[ell - 1]
 
-    def iter_stages(self) -> Iterator[Tuple[int, int, float]]:
-        """Yield (ell, m_l, b_l) over the stage table."""
-        for ell, (m, b) in enumerate(self.table, 1):
-            yield ell, m, b
-
     def in_check_set(self, n: int) -> bool:
         every = self.check_every
         if every is not None and n % every == 0:
             return True
         return n in self._check_sizes
-
-    @property
-    def final_stage_size(self) -> Optional[int]:
-        return None if self.unbounded else self.stages[-1]
 
     # -- serialization -----------------------------------------------------
 

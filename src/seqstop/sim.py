@@ -223,8 +223,7 @@ def coverage_chunk(procedure: str, spec: DistributionSpec,
             if abs(decision.estimate - truth) < plan.epsilon:
                 covered += 1
             continue
-        count = schedule.cap if schedule.unbounded else \
-            schedule.final_stage_size
+        count = schedule.cap if schedule.unbounded else schedule.stages[-1]
         decision = run_to_stop(generate(spec, count, replication=r),
                                procedure, schedule, goal)
         ns.append(decision.n)

@@ -11,9 +11,8 @@ import random
 from conftest import record_verdict
 
 from seqstop import kernels
-from seqstop.fixed_ci import (SampleSummary, _div_above, _div_below,
-                              _phi_ext, ci_mean, region_boundary,
-                              region_contains)
+from seqstop.fixed_ci import (SampleSummary, _div, _phi_ext, ci_mean,
+                              region_boundary, region_contains)
 from seqstop.kernels import mb, mb_massart, mg, mp, phi, psi, varphi
 from seqstop.rules import (EstimationGoal, RunningSample, _cond_a, _cond_d,
                            _cond_e, _threshold, run_to_stop)
@@ -326,10 +325,8 @@ def test_criterion_9_region_boundary_sanity():
         for curve, nu, th in region.points:
             if curve in ("C1", "D1"):
                 res = abs(th - nu * (1.0 - nu))
-            elif curve == "C2":
-                res = abs(_div_above(xbar, nu, th) - thr)
-            elif curve == "D2":
-                res = abs(_div_below(xbar, nu, th) - thr)
+            elif curve in ("C2", "D2"):
+                res = abs(_div(xbar, nu, th) - thr)
             else:
                 res = abs(_phi_ext(summary.w(nu), th) - thr)
             worst_residual = max(worst_residual, res)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqstop.cli import _json_12sig, main
-from seqstop.fixed_ci import SampleSummary, _div_above, _div_below, _phi_ext
+from seqstop.fixed_ci import SampleSummary, _div, _phi_ext
 from seqstop.rules import EstimationGoal
 from seqstop.schedules import StageSchedule, plan_unbounded
 from seqstop.sim import DistributionSpec, coverage_experiment, generate
@@ -211,10 +211,8 @@ def test_region_csv_rows_satisfy_equations(capsys, tmp_path):
         nu, th = float(nu_s), float(th_s)
         if curve in ("C1", "D1"):
             assert abs(th - nu * (1 - nu)) < 1e-6
-        elif curve == "C2":
-            assert abs(_div_above(summary.mean, nu, th) - thr) < 1e-6
-        elif curve == "D2":
-            assert abs(_div_below(summary.mean, nu, th) - thr) < 1e-6
+        elif curve in ("C2", "D2"):
+            assert abs(_div(summary.mean, nu, th) - thr) < 1e-6
         else:
             assert abs(_phi_ext(summary.w(nu), th) - thr) < 1e-6
 
@@ -238,6 +236,20 @@ def test_config_defaults_apply(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["epsilon"] == 0.2
     assert len(doc["stages"]) == 3
+
+
+@pytest.mark.parametrize("config, argv", [
+    ({"rule": "Z"}, ["run"]),
+    ({"procedure": "Z"}, ["simulate", "--reps", "1"]),
+    ({"stages": 2.5}, ["plan"]),
+    ([1, 2], ["plan"]),
+])
+def test_config_values_checked_like_flags(capsys, tmp_path, config, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "--config", str(cfg), *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error: bad config file")
 
 
 def test_config_missing_file(capsys):
@@ -281,3 +293,65 @@ def test_simulate_exit_codes_on_small_counts(procedure, reps, fixed_n):
                         "--epsilon", "0.3", "--reps", str(reps),
                         "--fixed-n", str(fixed_n)])
     assert code in (0, 2, 3)
+
+
+def test_run_schedule_file_missing(capsys, tmp_path):
+    path = str(tmp_path / "missing.json")
+    code, _, err = run_cli(capsys, "run", "--schedule", path,
+                           "--input", write_stream(tmp_path, [1.0] * 60))
+    assert code == 2 and path in err
+
+
+def test_run_schedule_file_without_key(capsys, tmp_path):
+    path = tmp_path / "sched.json"
+    path.write_text(json.dumps({"epsilon": 0.1}))
+    code, _, err = run_cli(capsys, "run", "--schedule", str(path),
+                           "--input", write_stream(tmp_path, [1.0] * 60))
+    assert code == 2 and "lacks key" in err
+
+
+@pytest.mark.parametrize("command, flags, planned, given", [
+    ("run", ["--rule", "A", "--delta", "0.01"], "0.5", "0.01"),
+    ("run", ["--rule", "C", "--delta", "0.5"], "'A'", "'C'"),
+    ("run", ["--rule", "A", "--delta", "0.5", "--epsilon", "0.2"],
+     "0.1", "0.2"),
+    ("simulate", ["--procedure", "A", "--delta", "0.01"], "0.5", "0.01"),
+    ("simulate", ["--procedure", "C", "--delta", "0.5"], "'A'", "'C'"),
+])
+def test_schedule_file_must_match_flags(capsys, tmp_path, command, flags,
+                                        planned, given):
+    _, out, _ = run_cli(capsys, "plan", "--rule", "A", "--epsilon", "0.1",
+                        "--delta", "0.5")
+    sched = tmp_path / "sched.json"
+    sched.write_text(out)
+    argv = [command, *flags, "--schedule", str(sched)]
+    if command == "run":
+        argv += ["--input", write_stream(tmp_path, [1.0] * 60)]
+    else:
+        argv += ["--reps", "2"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"{planned} but the flags give {given}" in err
+
+
+def test_schedule_file_matching_flags_runs(capsys, tmp_path):
+    _, out, _ = run_cli(capsys, "plan", "--rule", "A", "--epsilon", "0.1",
+                        "--delta", "0.5")
+    sched = tmp_path / "sched.json"
+    sched.write_text(out)
+    code, out, _ = run_cli(capsys, "run", "--rule", "A", "--delta", "0.5",
+                           "--schedule", str(sched),
+                           "--input", write_stream(tmp_path, [1.0] * 60))
+    assert code == 0
+    assert json.loads(out)["n"] == 29
+
+
+def test_ci_where_the_scan_probes_within_rounding_of_the_mean(capsys,
+                                                             tmp_path):
+    # 1646 ones in 7143: the lower scan meets nu whose 1 - nu rounds
+    # onto 1 - mean
+    path = write_stream(tmp_path, [1.0] * 1646 + [0.0] * 5497)
+    code, out, _ = run_cli(capsys, "ci", "--input", path)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["L"] <= doc["mean"] <= doc["U"]

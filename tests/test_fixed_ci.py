@@ -2,11 +2,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqstop.fixed_ci import (SampleSummary, ci_mean, lower_limit,
                               region_boundary, region_contains,
                               state_b_holds, state_bu_holds, upper_limit,
-                              _phi_ext)
+                              _div, _phi_ext)
 
 
 def make_summary(n, mean, var):
@@ -20,6 +22,10 @@ def test_summary_validation():
         make_summary(10, 1.5, 0.1)
     with pytest.raises(ValueError):
         make_summary(10, 0.5, 0.3)
+
+
+def test_var_within_rounding_below_zero_is_stored_as_zero():
+    assert make_summary(10, 0.5, -1e-13).var == 0.0
 
 
 def test_shifted_second_moment():
@@ -121,14 +127,11 @@ def test_region_boundary_residuals():
     region = region_boundary(s, 0.05, resolution=40)
     assert region.points
     thr = region.threshold
-    from seqstop.fixed_ci import _div_above, _div_below
     for curve, nu, th in region.points:
         if curve in ("C1", "D1"):
             assert abs(th - nu * (1 - nu)) < 1e-9
-        elif curve == "C2":
-            assert abs(_div_above(s.mean, nu, th) - thr) < 1e-9
-        elif curve == "D2":
-            assert abs(_div_below(s.mean, nu, th) - thr) < 1e-9
+        elif curve in ("C2", "D2"):
+            assert abs(_div(s.mean, nu, th) - thr) < 1e-9
         else:
             assert abs(_phi_ext(s.w(nu), th) - thr) < 1e-9
         assert 0.0 < th <= nu * (1 - nu) + 1e-15
@@ -153,3 +156,28 @@ def test_scan_terminates_on_extreme_summaries():
         s = make_summary(25, mean, var)
         ci = ci_mean(s, 0.05)
         assert 0.0 <= ci.lower <= ci.upper <= 1.0
+
+
+def test_ci_where_the_mirror_rounds():
+    # the lower scan probes nu with 1 - nu rounding onto 1 - mean
+    s = make_summary(10000, 0.18501001464252484, 0.11360119557887273)
+    ci = ci_mean(s, 0.05)
+    assert ci.lower <= s.mean <= ci.upper
+
+
+@pytest.mark.parametrize("n, mean, var", [
+    (1000, 0.10198239503875019, 0.0025961182019681676),
+    (100000, 0.4728003387045943, 0.09462295829867623),
+])
+def test_region_where_the_mirror_rounds(n, mean, var):
+    assert region_boundary(make_summary(n, mean, var), 0.05).points
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(n=st.integers(1, 10 ** 7), mean=st.floats(0.0, 1.0),
+       var=st.floats(-1e-12, 0.25 + 1e-12), delta=st.floats(1e-9, 0.5))
+def test_interval_and_region_never_raise(n, mean, var, delta):
+    s = make_summary(n, mean, var)
+    ci = ci_mean(s, delta)
+    assert 0.0 <= ci.lower <= s.mean <= ci.upper <= 1.0
+    region_boundary(s, delta, resolution=20)

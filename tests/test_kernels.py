@@ -190,6 +190,17 @@ class TestVarphiPsi:
         with pytest.raises(ValueError):
             psi(0.3, 0.4, 0.1)  # z below nu
 
+    def test_psi_where_the_mirror_rounds(self):
+        # nu < z, but 1 - z rounds onto 1 - nu: varphi's limit at z = nu
+        nu = 0.18501001464252484
+        z = math.nextafter(nu, 1.0)
+        assert 1.0 - z == 1.0 - nu
+        assert psi(z, nu, 0.1) == 0.0
+        with pytest.raises(ValueError):
+            psi(z, nu, 0.0)
+        # 1 - nu rounds onto 1: varphi's continuous extension at nu = 1
+        assert psi(0.5, 1e-17, 0.1) == varphi(0.5, 1.0, 0.1) > 0.0
+
     def test_shrunk_band_epsilon_monotonicity(self):
         # widening the acceptance band by epsilon hurts the upper edge no
         # more than the lower edge (kernel at the shrunk upper argument

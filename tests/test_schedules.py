@@ -177,8 +177,6 @@ def test_unbounded_table_matches_lazy_recurrence(kwargs):
         ell += 1
     with pytest.raises(IndexError):
         sched.stage(ell + 1)
-    assert list(sched.iter_stages()) == [
-        (k, *sched.stage(k)) for k in range(1, ell + 1)]
 
 
 def test_ratio_close_to_one_within_stage_limit():
