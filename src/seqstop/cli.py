@@ -1,6 +1,10 @@
 """Command-line front end: schedule planning, streaming estimation,
 coverage simulation, fixed-sample intervals, and region extraction.
 
+One lazy reader serves ``run``, ``ci`` and ``region``: ``run`` reads and
+checks data only up to its decision; ``ci`` and ``region`` fold all of it
+into a ``RunningSample``'s running sums, as every rule does.
+
 Exit codes: 0 success, 2 usage or parameter error, 3 data error
 (malformed or exhausted input stream).
 """
@@ -11,11 +15,11 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from . import schedules, sim
 from .fixed_ci import SampleSummary, ci_mean, region_boundary
-from .rules import RULES, EstimationGoal, run_to_stop
+from .rules import RULES, EstimationGoal, RunningSample, run_to_stop
 from .schedules import StageSchedule
 from .seq_mv import plan_mv, run_mv
 
@@ -44,13 +48,16 @@ def _json_12sig(text: str) -> str:
     return json.dumps(walk(json.loads(text)))
 
 
-def _read_stream(path: str) -> List[float]:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return [float(token) for token in text.split()]
+def _observations(path: str) -> Iterator[float]:
+    """The floats of path (- is stdin), read in blocks of whole lines and
+    parsed one at a time, so a consumer that stops leaves the rest alone."""
+    fh = sys.stdin if path == "-" else open(path, "r", encoding="utf-8")
+    try:
+        while lines := fh.readlines(1 << 16):
+            yield from map(float, "".join(lines).split())
+    finally:
+        if fh is not sys.stdin:
+            fh.close()
 
 
 def _read_schedule(args, rule: str) -> StageSchedule:
@@ -100,12 +107,11 @@ def _cmd_run(args) -> int:
     goal = RULES[args.rule].goal(args.epsilon, args.delta)
     sched = _build_schedule(args, args.rule)
     try:
-        stream = _read_stream(args.input)
-    except (OSError, ValueError) as exc:
+        decision = run_to_stop(_observations(args.input), args.rule, sched,
+                               goal)
+    except OSError as exc:
         print(f"error: cannot read stream: {exc}", file=sys.stderr)
         return DATA_ERROR
-    try:
-        decision = run_to_stop(iter(stream), args.rule, sched, goal)
     except ValueError as exc:
         print(f"error: bad observation: {exc}", file=sys.stderr)
         return DATA_ERROR
@@ -171,22 +177,30 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _summary_from_values(values: List[float]) -> SampleSummary:
-    if not values:
-        raise ValueError("empty stream")
-    if any(not 0.0 <= v <= 1.0 for v in values):
-        raise ValueError("observations must lie in [0, 1]")
-    n = len(values)
-    mean = sum(values) / n
-    var = sum((v - mean) ** 2 for v in values) / n
-    return SampleSummary(n=n, mean=mean, var=min(var, 0.25))
+def _summary(path: str) -> Optional[SampleSummary]:
+    """The summary of the [0, 1] data at path, or None after saying why not.
+
+    The sums are those ``feed`` builds, folded in place: a ``feed`` call
+    per observation would make a request about a tenth slower."""
+    n, total, total_sq = 0, 0.0, 0.0
+    try:
+        for x in _observations(path):
+            if not 0.0 <= x <= 1.0:
+                raise ValueError(f"observation {x!r} outside [0, 1]")
+            n += 1
+            total += x
+            total_sq += x * x
+        if n == 0:
+            raise ValueError("empty stream")
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+    return RunningSample(n, total, total_sq).summary()
 
 
 def _cmd_ci(args) -> int:
-    try:
-        summary = _summary_from_values(_read_stream(args.input))
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    summary = _summary(args.input)
+    if summary is None:
         return DATA_ERROR
     interval = ci_mean(summary, args.delta)
     print(_json_12sig(interval.to_json()))
@@ -194,10 +208,8 @@ def _cmd_ci(args) -> int:
 
 
 def _cmd_region(args) -> int:
-    try:
-        summary = _summary_from_values(_read_stream(args.input))
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    summary = _summary(args.input)
+    if summary is None:
         return DATA_ERROR
     region = region_boundary(summary, args.delta, resolution=args.resolution)
     if args.format == "json":

@@ -1,9 +1,10 @@
 """Large-deviation divergence kernels.
 
 All kernels are pure scalar functions evaluated on an extended-real
-codomain: out-of-domain reference arguments map to ``-inf`` (a value, not
-an error), while an out-of-range first argument is a caller bug and
-raises.  No kernel ever returns NaN.
+codomain: out-of-domain reference arguments (NaN and infinities
+included) map to ``-inf`` (a value, not an error), while an out-of-range
+or non-finite first argument is a caller bug and raises.  No kernel ever
+returns NaN.
 """
 
 import math
@@ -56,24 +57,35 @@ def mg(z: float, theta: float) -> float:
     Both 1-z and 1-theta are <= 0 on the finite branch, so the log ratio
     is taken on (z-1)/(theta-1).
     """
-    if z < 1.0:
-        raise ValueError(f"z must be >= 1, got {z!r}")
-    if not theta > 1.0:
+    if not 1.0 <= z < math.inf:
+        raise ValueError(f"z must be finite and >= 1, got {z!r}")
+    if not 1.0 < theta < math.inf:
         return NEG_INF
     if z == 1.0:
         return -math.log(theta)
-    return z * math.log(z / theta) + (1.0 - z) * math.log((z - 1.0) / (theta - 1.0))
+    r = (z - 1.0) / (theta - 1.0)
+    if 0.0 < r < math.inf:
+        value = z * math.log(z / theta) + (1.0 - z) * math.log(r)
+        if value == value:
+            return value
+    # r left the float range or the terms overflowed to inf - inf: the
+    # same exponent as z (ln(z / theta) - ln r) + ln r, with logs apart
+    log_r = math.log(z - 1.0) - math.log(theta - 1.0)
+    return z * (math.log(z) - math.log(theta) - log_r) + log_r
 
 
 def mp(z: float, theta: float) -> float:
     """Poisson divergence exponent; z is an empirical mean >= 0."""
-    if z < 0.0:
-        raise ValueError(f"z must be >= 0, got {z!r}")
-    if theta <= 0.0:
+    if not 0.0 <= z < math.inf:
+        raise ValueError(f"z must be finite and >= 0, got {z!r}")
+    if not 0.0 < theta < math.inf:
         return NEG_INF
     if z == 0.0:
         return -theta
-    return z - theta + z * math.log(theta / z)
+    r = theta / z
+    # where theta / z leaves the float range, take the logarithms apart
+    log_r = math.log(r) if 0.0 < r < math.inf else math.log(theta) - math.log(z)
+    return z - theta + z * log_r
 
 
 def phi(z: float, theta: float) -> float:
@@ -100,7 +112,7 @@ def varphi(z: float, nu: float, theta: float) -> float:
         raise ValueError(f"nu must lie in (0, 1], got {nu!r}")
     if not 0.0 <= z < nu:
         raise ValueError(f"z must lie in [0, nu), got {z!r}")
-    if theta <= 0.0:
+    if not theta > 0.0:
         raise ValueError(f"theta must be positive, got {theta!r}")
     t = z * nu / (nu * nu + theta)
     # log1p keeps precision when z is close to nu and the ratio is tiny.
@@ -121,7 +133,7 @@ def psi(z: float, nu: float, theta: float) -> float:
         raise ValueError(f"nu must lie in (0, 1), got {nu!r}")
     if not nu < z <= 1.0:
         raise ValueError(f"z must lie in (nu, 1], got {z!r}")
-    if theta <= 0.0:
+    if not theta > 0.0:
         raise ValueError(f"theta must be positive, got {theta!r}")
     if 1.0 - z >= 1.0 - nu:
         return 0.0

@@ -142,7 +142,8 @@ def _threshold(m: int, budget: float) -> float:
 
 def _cond_a(xbar: float, n: int, m: int, eps: float, thr: float) -> bool:
     base = 0.5 - abs(0.5 - xbar) + eps
-    z = base - n * eps / max(n, m)
+    # n * eps / n may round above eps, which would put z below 0
+    z = base - (eps if n >= m else n * eps / m)
     return kernels.mb(z, base) <= thr
 
 
@@ -162,7 +163,8 @@ def _cond_c(xbar: float, n: int, m: int, eps: float, thr: float) -> bool:
 
 
 def _cond_d(xbar: float, n: int, m: int, eps: float, thr: float) -> bool:
-    z = (1.0 + eps - n * eps / max(n, m)) * xbar
+    # 1 + eps - eps may round below 1, which would put z below 1
+    z = xbar if n >= m else (1.0 + eps - n * eps / m) * xbar
     return kernels.mg(z, (1.0 + eps) * xbar) <= thr
 
 

@@ -8,7 +8,7 @@ budgets and a hard safety cap on total samples).
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 __all__ = [
     "StageSchedule",
@@ -31,10 +31,16 @@ STAGE_SCAN_FACTOR = 64
 # stages an unbounded schedule with ratio 1.001 may need at the default cap.
 MAX_STAGES = 100_000
 
+# a schedule document lists these fields in this order; the optional ones
+# may be left out and then take their defaults
+_OPTIONAL_KEYS = ("unbounded", "ratio", "decay", "cap")
+_JSON_KEYS = ("epsilon", "delta", "s", "rule", "stages", "budgets") + \
+    _OPTIONAL_KEYS
+
 
 @dataclass(frozen=True)
 class StageSchedule:
-    """Checkpoint plan: stage sizes, per-stage budgets, check-set policy.
+    """Checkpoint plan: stage sizes and per-stage budgets.
 
     ``budgets`` holds the per-stage delta allocation b_l (summing to at
     most delta); the stopping rules compare kernels against
@@ -43,7 +49,7 @@ class StageSchedule:
     max(m_l + 1, ceil(m_l * ratio)) and b_l = delta (1-decay) decay^(l-1).
     ``table`` holds every (m_l, b_l), built at construction; unbounded
     tables end at the first m_l >= cap * STAGE_SCAN_FACTOR, the last stage
-    a run of at most ``cap`` observations can scan.
+    a run of at most ``cap`` observations can scan.  Runs check at the m_l.
     """
 
     epsilon: float
@@ -56,7 +62,6 @@ class StageSchedule:
     ratio: float = 2.0
     decay: float = 0.5
     cap: int = DEFAULT_CAP
-    check_every: Optional[int] = field(default=None)  # None = stage boundaries only
     table: Tuple[Tuple[int, float], ...] = field(init=False, repr=False,
                                                  compare=False)
 
@@ -103,53 +108,24 @@ class StageSchedule:
         return self.table[ell - 1]
 
     def in_check_set(self, n: int) -> bool:
-        every = self.check_every
-        if every is not None and n % every == 0:
-            return True
         return n in self._check_sizes
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> str:
-        doc = {
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "s": self.s,
-            "rule": self.rule,
-            "stages": list(self.stages),
-            "budgets": list(self.budgets),
-            "unbounded": self.unbounded,
-            "ratio": self.ratio,
-            "decay": self.decay,
-            "cap": self.cap,
-            "check_set": "all-n" if self.check_every == 1 else (
-                f"every-{self.check_every}" if self.check_every else "stage-only"),
-        }
-        return json.dumps(doc)
+        return json.dumps({key: getattr(self, key) for key in _JSON_KEYS})
 
     @classmethod
     def from_json(cls, text: str) -> "StageSchedule":
         doc = json.loads(text)
         check = doc.get("check_set", "stage-only")
-        if check == "stage-only":
-            every: Optional[int] = None
-        elif check == "all-n":
-            every = 1
-        else:
-            every = int(check.split("-", 1)[1])
-        return cls(
-            epsilon=doc["epsilon"],
-            delta=doc["delta"],
-            s=doc["s"],
-            rule=doc["rule"],
-            stages=tuple(doc["stages"]),
-            budgets=tuple(doc["budgets"]),
-            unbounded=doc.get("unbounded", False),
-            ratio=doc.get("ratio", 2.0),
-            decay=doc.get("decay", 0.5),
-            cap=doc.get("cap", DEFAULT_CAP),
-            check_every=every,
-        )
+        if check != "stage-only":
+            raise ValueError(f"check_set {check!r} is not supported: "
+                             "schedules check at stage sizes only")
+        optional = {key: doc[key] for key in _OPTIONAL_KEYS if key in doc}
+        return cls(epsilon=doc["epsilon"], delta=doc["delta"], s=doc["s"],
+                   rule=doc["rule"], stages=tuple(doc["stages"]),
+                   budgets=tuple(doc["budgets"]), **optional)
 
 
 def _finite_schedule(epsilon: float, delta: float, s: int, rule: str,

@@ -179,6 +179,10 @@ def oracle_sequence_limits(state: RunningSample, schedule: StageSchedule,
             hi = max(2.0 * xbar, dom_lo + 1.0)
             while toward_mean_from_above(hi) > threshold:
                 hi *= 2.0
+                if hi == math.inf:
+                    # above the threshold up to the end of the float
+                    # range: no finite upper limit
+                    return lower, hi
         if hi <= lo:
             upper = xbar
         elif toward_mean_from_above(hi) > threshold:

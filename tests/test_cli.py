@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqstop.cli import _json_12sig, main
+from seqstop.cli import _json_12sig, _summary, main
 from seqstop.fixed_ci import SampleSummary, _div, _phi_ext
-from seqstop.rules import EstimationGoal
+from seqstop.rules import RULES, EstimationGoal, RunningSample, feed
 from seqstop.schedules import StageSchedule, plan_unbounded
 from seqstop.sim import DistributionSpec, coverage_experiment, generate
 
@@ -355,3 +355,120 @@ def test_ci_where_the_scan_probes_within_rounding_of_the_mean(capsys,
     assert code == 0
     doc = json.loads(out)
     assert doc["L"] <= doc["mean"] <= doc["U"]
+
+
+@pytest.mark.parametrize("rule, epsilon, delta, stages, value", [
+    ("A", "0.02", "0.1", "3", 0.0),
+    ("D", "0.13", "0.01", "2", 1.0),
+])
+def test_run_where_the_last_checked_stage_rounds(capsys, tmp_path, rule,
+                                                 epsilon, delta, stages,
+                                                 value):
+    # n * eps / n rounding above eps used to push z out of the kernel's
+    # domain at stages with n >= m_l
+    path = write_stream(tmp_path, [value] * 2000)
+    code, out, err = run_cli(capsys, "run", "--rule", rule, "--epsilon",
+                             epsilon, "--delta", delta, "--stages", stages,
+                             "--input", path)
+    assert code == 0 and err == ""
+    assert json.loads(out)["status"] == "stopped"
+
+
+def test_simulate_where_the_last_checked_stage_rounds(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--procedure", "D",
+                             "--dist", "geometric", "--theta", "1.0000001",
+                             "--epsilon", "0.13", "--delta", "0.01",
+                             "--stages", "2", "--reps", "5")
+    assert code == 0 and err == ""
+    assert json.loads(out)["coverage"] == 1.0
+
+
+def test_run_stops_reading_at_its_decision(capsys, monkeypatch):
+    stdin = io.StringIO("1\n" * 10 ** 6)
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, _ = run_cli(capsys, "run", "--rule", "A")
+    assert code == 0
+    assert json.loads(out)["n"] == 51
+    assert stdin.tell() < len(stdin.getvalue()) // 10
+
+
+@pytest.mark.parametrize("bad_line, expected", [(60, 0), (10, 3)])
+def test_run_checks_tokens_only_up_to_its_decision(capsys, tmp_path,
+                                                    bad_line, expected):
+    values = [1.0] * 100
+    values[bad_line - 1] = "abc"
+    path = write_stream(tmp_path, values)
+    code, _, err = run_cli(capsys, "run", "--rule", "A", "--input", path)
+    assert code == expected
+    assert ("abc" in err) == (expected == 3)
+
+
+def test_ci_and_region_summarise_as_feed_does(tmp_path):
+    spec = DistributionSpec("scaled-beta", {"alpha": 2, "beta": 5}, seed=4)
+    values = list(generate(spec, 3000))
+    state = RunningSample()
+    goal = EstimationGoal("bounded", "abs", 0.1, 0.05)
+    for x in values:
+        feed(state, x, goal)
+    assert _summary(write_stream(tmp_path, values)) == state.summary()
+
+
+def test_run_missing_input_is_data_error(capsys, tmp_path):
+    path = str(tmp_path / "missing.txt")
+    code, out, err = run_cli(capsys, "run", "--input", path)
+    assert code == 3 and out == "" and "cannot read stream" in err
+
+
+_UNIT_TOKENS = st.one_of(st.floats(0.0, 1.0).map(repr),
+                         st.sampled_from(["0", "1", "0.5"]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(command=st.sampled_from(["ci", "region"]),
+       tokens=st.lists(st.one_of(_UNIT_TOKENS, _TOKENS), max_size=40))
+def test_ci_and_region_exit_codes_on_any_stream(command, tokens):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "stream.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(tokens))
+        argv = [command, "--input", path]
+        if command == "region":
+            argv += ["--resolution", "20"]
+        code = _quiet_main(argv)
+    assert code in (0, 3)
+
+
+# each family's support, with its edges drawn often: constant streams at
+# an edge are where rounding once pushed a kernel argument out of range
+_IN_SUPPORT = {
+    "bounded": st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    "geometric": st.one_of(st.just(1.0), st.integers(1, 50).map(float)),
+    "poisson": st.one_of(st.just(0.0), st.integers(0, 50).map(float)),
+}
+
+
+@pytest.mark.parametrize("rule", "ABCDEF")
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(data=st.data(), stages=st.integers(1, 5),
+       delta=st.sampled_from([0.01, 0.05, 0.1, 0.2]))
+def test_run_is_silent_on_in_support_streams(rule, data, stages, delta):
+    parameter, error = RULES[rule].parameter, RULES[rule].error
+    top = 49 if (parameter, error) == ("bounded", "abs") else 99
+    epsilon = data.draw(st.integers(1, top)) / 100
+    if data.draw(st.booleans()):
+        values = [data.draw(_IN_SUPPORT[parameter])] * \
+            data.draw(st.integers(0, 400))
+    else:
+        values = data.draw(st.lists(_IN_SUPPORT[parameter], max_size=400))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "stream.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(map(repr, values)))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(["run", "--rule", rule, "--epsilon", repr(epsilon),
+                         "--delta", repr(delta), "--stages", str(stages),
+                         "--cap", "400", "--input", path])
+    assert err.getvalue() == "", (code, err.getvalue())
+    assert code in (0, 3)

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqstop import kernels
 from seqstop.kernels import NEG_INF, mb, mb_massart, mg, mp, phi, psi, varphi
@@ -226,3 +228,43 @@ class TestVarphiPsi:
             theta = rng.uniform(-1.0, 2.0)
             assert not math.isnan(mb(z, theta))
             assert not math.isnan(mp(z * 5, theta))
+
+
+class TestExtendedReals:
+    def test_non_finite_reference_is_neg_inf(self):
+        assert mp(1.0, math.inf) == NEG_INF
+        assert mp(1.0, math.nan) == NEG_INF
+        assert mg(2.0, math.inf) == NEG_INF
+        assert mg(2.0, math.nan) == NEG_INF
+
+    def test_non_finite_z_raises(self):
+        for z in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                mg(z, 2.0)
+            with pytest.raises(ValueError):
+                mp(z, 1.0)
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=1000)
+    @given(z=st.floats(), nu=st.floats(), theta=st.floats())
+    def test_no_kernel_returns_nan(self, z, nu, theta):
+        # (kernel, arguments, whether they lie in the kernel's domain):
+        # inside it a kernel returns a value that is not NaN, outside it
+        # the kernel may raise ValueError instead
+        calls = [
+            (mb, (z, theta), 0.0 <= z <= 1.0),
+            (mb_massart, (z, theta), 0.0 <= z <= 1.0),
+            (mg, (z, theta), 1.0 <= z < math.inf),
+            (mp, (z, theta), 0.0 <= z < math.inf),
+            (phi, (z, theta), 0.0 < z < 1.0 and 0.0 < theta < 1.0),
+            (varphi, (z, nu, theta),
+             0.0 <= z < nu <= 1.0 and theta > 0.0),
+            (psi, (z, nu, theta), 0.0 < nu < z <= 1.0 and theta > 0.0),
+        ]
+        for kernel, args, in_domain in calls:
+            try:
+                value = kernel(*args)
+            except ValueError:
+                assert not in_domain, (kernel.__name__, args)
+                continue
+            assert not math.isnan(value), (kernel.__name__, args)

@@ -1,7 +1,9 @@
+import json
 import math
 
 import pytest
 
+from seqstop.cli import main
 from seqstop.schedules import (DEFAULT_CAP, MAX_STAGES, STAGE_SCAN_FACTOR,
                                StageSchedule, plan_bounded_abs,
                                plan_geometric_mean, plan_unbounded)
@@ -127,16 +129,27 @@ def test_documents_written_before_the_stage_table_still_load():
     assert again.table == plan_unbounded(0.05, 50).table
 
 
-def test_check_set_policies():
+def test_check_set_policies(tmp_path, capsys):
+    # runs check at the stage sizes only; a document asking for any
+    # other check set is refused, and run --schedule exits 2 on it
     sched = plan_bounded_abs(0.1, 0.05, 5, "A")
     assert sched.in_check_set(51)
     assert sched.in_check_set(265)
-    assert not sched.in_check_set(100)
-    every3 = StageSchedule(epsilon=0.1, delta=0.05, s=5, rule="A",
-                           stages=sched.stages, budgets=sched.budgets,
-                           check_every=3)
-    assert every3.in_check_set(99)
-    assert every3.in_check_set(51)  # stage boundaries always included
+    assert not sched.in_check_set(99)
+    doc = json.loads(sched.to_json())
+    assert "check_set" not in doc
+    assert StageSchedule.from_json(
+        json.dumps({**doc, "check_set": "stage-only"})) == sched
+    stream = tmp_path / "ones.txt"
+    stream.write_text("1\n" * 60)
+    for policy in ("all-n", "every-3"):
+        with pytest.raises(ValueError, match="stage sizes only"):
+            StageSchedule.from_json(json.dumps({**doc, "check_set": policy}))
+        path = tmp_path / f"{policy}.json"
+        path.write_text(json.dumps({**doc, "check_set": policy}))
+        code = main(["run", "--schedule", str(path), "--input", str(stream)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and policy in err
 
 
 def test_unbounded_check_set_hits_stage_sizes():
