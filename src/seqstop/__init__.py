@@ -9,7 +9,7 @@ from .rules import (EstimationGoal, RunningSample, StopDecision, feed,
                     run_to_stop, stop_stage)
 from .schedules import (StageSchedule, plan_bounded_abs, plan_geometric_mean,
                         plan_unbounded)
-from .seq_mv import MvPlan, plan_mv, run_mv
+from .seq_mv import plan_mv, run_mv
 from .sim import (CoverageReport, DistributionSpec, coverage_experiment,
                   generate)
 

@@ -21,7 +21,7 @@ from . import schedules, sim
 from .fixed_ci import SampleSummary, ci_mean, region_boundary
 from .rules import RULES, EstimationGoal, RunningSample, run_to_stop
 from .schedules import StageSchedule
-from .seq_mv import plan_mv, run_mv
+from .seq_mv import plan_mv
 
 USAGE_ERROR = 2
 DATA_ERROR = 3
@@ -92,6 +92,8 @@ def _build_schedule(args, rule: str) -> StageSchedule:
     if rule == "D":
         return schedules.plan_geometric_mean(args.epsilon, args.delta,
                                              args.stages)
+    if rule == "mv":
+        return plan_mv(args.epsilon, args.delta, args.stages)
     return schedules.plan_unbounded(args.delta, args.m1, ratio=args.ratio,
                                     decay=args.decay, epsilon=args.epsilon,
                                     rule=rule, cap=args.cap)
@@ -137,16 +139,12 @@ def _build_spec(args) -> sim.DistributionSpec:
 
 def _cmd_simulate(args) -> int:
     spec = _build_spec(args)
-    goal = None
     sched = None
-    plan = None
     fixed_n = None
     if args.reps < 0:
         print("error: --reps must be nonnegative", file=sys.stderr)
         return USAGE_ERROR
-    if args.procedure == "mv":
-        plan = plan_mv(args.epsilon, args.delta, args.stages)
-    elif args.procedure == "ci":
+    if args.procedure == "ci":
         goal = EstimationGoal("bounded", "abs", args.epsilon, args.delta)
         fixed_n = args.fixed_n
         if fixed_n is None or fixed_n < 1:
@@ -160,7 +158,7 @@ def _cmd_simulate(args) -> int:
     reps = args.reps
     if workers <= 1 or reps < 2 * workers:
         chunks = [sim.coverage_chunk(args.procedure, spec, goal, sched, reps,
-                                     0, fixed_n, plan)]
+                                     0, fixed_n)]
     else:
         base = reps // workers
         sizes = [base + (1 if i < reps % workers else 0)
@@ -169,7 +167,7 @@ def _cmd_simulate(args) -> int:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(sim.coverage_chunk, args.procedure, spec,
-                            goal, sched, size, off, fixed_n, plan)
+                            goal, sched, size, off, fixed_n)
                 for size, off in zip(sizes, offsets) if size > 0]
             chunks = [f.result() for f in futures]
     report = sim.report_from_chunks(args.procedure, spec, reps, chunks)
@@ -264,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_goal_flags(p)
     _add_schedule_flags(p)
     p.add_argument("--procedure", default="A",
-                   choices=list(RULES) + ["mv", "ci"],
-                   help="a rule letter, mv or ci")
+                   choices=list(RULES) + ["ci"],
+                   help="a RULES key (A-F or mv) or ci")
     p.add_argument("--dist", default="bernoulli",
                    choices=["bernoulli", "scaled-beta", "discrete",
                             "geometric", "poisson"])

@@ -37,7 +37,15 @@ def mb(z: float, theta: float) -> float:
         return math.log1p(-theta)
     if z == 1.0:
         return math.log(theta)
-    return z * math.log(theta / z) + (1.0 - z) * math.log((1.0 - theta) / (1.0 - z))
+    value = z * math.log(theta / z) + \
+        (1.0 - z) * math.log((1.0 - theta) / (1.0 - z))
+    if value <= 0.0:
+        return value
+    # rounding put it above 0: theta / z overflowed (subnormal z), or 1 - z
+    # and 1 - theta rounded to 1; take the logarithms apart, as mp does
+    value = z * (math.log(theta) - math.log(z)) + \
+        (1.0 - z) * math.log((1.0 - theta) / (1.0 - z))
+    return min(value, 0.0)
 
 
 def mb_massart(z: float, theta: float) -> float:

@@ -1,9 +1,10 @@
-"""Streaming stopping-rule engines (rules A through F).
+"""The stopping engine (``run_to_stop``) and its rules A-F and ``mv``.
 
-Each rule compares a divergence kernel of the running sample mean against
-a per-stage threshold ln(b_l / 2) / m_l and stops at the first stage
-where the inequality holds.  ``RULES`` maps each rule letter to its
-target family, error kind, per-stage test and terminal claim.
+Rules A-F compare a divergence kernel of the running sample mean against
+a per-stage threshold ln(b_l / 2) / m_l and stop at the first stage
+where the inequality holds; ``mv`` tests an interval.  ``RULES`` maps
+each rule key to its target family, error kind, per-stage test and
+terminal claim.
 """
 
 import json
@@ -13,7 +14,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional
 
 from . import kernels
-from .fixed_ci import SampleSummary
+from .fixed_ci import SampleSummary, ci_mean
 from .schedules import STAGE_SCAN_FACTOR, StageSchedule
 
 __all__ = [
@@ -108,6 +109,7 @@ class StopDecision:
     rule: str
     epsilon: float
     delta: float
+    # no rule reports an interval; perfbench reads both from every decision
     lower: Optional[float] = None
     upper: Optional[float] = None
     truncated: bool = field(default=False)
@@ -122,10 +124,6 @@ class StopDecision:
             "epsilon": self.epsilon,
             "delta": self.delta,
         }
-        if self.lower is not None:
-            doc["L"] = self.lower
-        if self.upper is not None:
-            doc["U"] = self.upper
         if self.truncated:
             doc["truncated"] = True
         return doc
@@ -195,21 +193,48 @@ def _ratio_claim(estimate: float, truth: float, eps: float) -> bool:
 
 def _kernel_test(cond):
     """Per-stage test comparing a kernel against ln(b_l / 2) / m_l."""
-    def test(xbar, n, m, budget, goal, schedule):
-        return cond(xbar, n, m, goal.epsilon, _threshold(m, budget))
+    # runs for every stage scanned: mean and threshold are taken inline
+    def test(state, m, budget, goal, schedule):
+        n = state.n
+        return cond(state.total / n, n, m, goal.epsilon,
+                    math.log(budget / 2.0) / m)
     return test
 
 
-def _test_b(xbar, n, m, budget, goal, schedule):
+def _test_b(state, m, budget, goal, schedule):
     """Rule B's quadratic surrogate uses ln(2s/delta), not the threshold."""
-    return _cond_b(xbar, n, m, goal.epsilon, goal.delta, schedule.s)
+    n = state.n
+    return _cond_b(state.total / n, n, m, goal.epsilon, goal.delta,
+                   schedule.s)
+
+
+def _test_mv(state, m, budget, goal, schedule):
+    """The multistage estimator's test at n = m_l only, as ``stop_stage``
+    scans every stage.
+
+    Before the last stage: the interval ``ci_mean`` at level 1 - b_l lies
+    within eps of the mean x.  At the last stage: Hoeffding's bound
+    P(|x - mu| >= eps) <= 2 exp(-2 m_s eps^2) is at most b_s (Hoeffding
+    1963), whatever the data.  A wrong claim at stage l thus needs an
+    event of probability at most b_l, and by the union bound the b_l,
+    which ``StageSchedule`` keeps within delta, bound its chance.
+    """
+    if m != state.n:
+        return False
+    eps = goal.epsilon
+    if m == schedule.table[-1][0]:
+        return -2.0 * eps * eps <= _threshold(m, budget)
+    interval = ci_mean(state.summary(), budget)
+    xbar = state.mean
+    return xbar - eps <= interval.lower and interval.upper <= xbar + eps
 
 
 @dataclass(frozen=True)
 class RuleSpec:
-    """What a rule letter means: ``test(xbar, n, m_l, b_l, goal, schedule)``
-    is its stage-l inequality and ``claim(estimate, truth, epsilon)`` the
-    error claim a stopped run makes."""
+    """What a rule key means: ``test(state, m_l, b_l, goal, schedule)``
+    is its stage-l inequality on the running sums and
+    ``claim(estimate, truth, epsilon)`` the error claim a stopped run
+    makes."""
 
     parameter: str
     error: str
@@ -227,6 +252,7 @@ RULES: Mapping[str, RuleSpec] = MappingProxyType({
     "D": RuleSpec("geometric", "rel", _kernel_test(_cond_d), _ratio_claim),
     "E": RuleSpec("poisson", "abs", _kernel_test(_cond_e), _abs_claim),
     "F": RuleSpec("poisson", "rel", _kernel_test(_cond_f), _rel_claim),
+    "mv": RuleSpec("bounded", "abs", _test_mv, _abs_claim),
 })
 
 
@@ -250,36 +276,38 @@ def stop_stage(rule: str, state: RunningSample, schedule: StageSchedule,
     test = _rule_spec(rule, goal).test
     if state.n == 0:
         return None
-    xbar = state.mean
     n = state.n
     for ell, (m, budget) in enumerate(schedule.table, 1):
         if schedule.unbounded and m >= n * STAGE_SCAN_FACTOR and ell > 1:
             return None
-        if test(xbar, n, m, budget, goal, schedule):
+        if test(state, m, budget, goal, schedule):
             return ell
     return None
 
 
 def run_to_stop(stream: Iterable[float], rule: str, schedule: StageSchedule,
                 goal: EstimationGoal) -> StopDecision:
-    """Consume observations until the rule fires, the cap is hit, or the
-    stream runs out."""
+    """Consume observations until the rule fires, the cap is hit, the last
+    stage of a finite schedule passes without firing (``no-inclusion``),
+    or the stream runs out."""
     _rule_spec(rule, goal)
     state = RunningSample()
+
+    def decide(status: str, stage: Optional[int] = None) -> StopDecision:
+        return StopDecision(status=status, n=state.n, stage=stage,
+                            estimate=state.mean if state.n else None,
+                            rule=rule, epsilon=goal.epsilon,
+                            delta=goal.delta,
+                            truncated=status == "cap-reached")
+
     for x in stream:
         feed(state, x, goal)
         if schedule.in_check_set(state.n):
             ell = stop_stage(rule, state, schedule, goal)
             if ell is not None:
-                return StopDecision(status="stopped", n=state.n, stage=ell,
-                                    estimate=state.mean, rule=rule,
-                                    epsilon=goal.epsilon, delta=goal.delta)
+                return decide("stopped", ell)
+            if not schedule.unbounded and state.n == schedule.table[-1][0]:
+                return decide("no-inclusion", len(schedule.table))
         if schedule.unbounded and state.n >= schedule.cap:
-            return StopDecision(status="cap-reached", n=state.n, stage=None,
-                                estimate=state.mean, rule=rule,
-                                epsilon=goal.epsilon, delta=goal.delta,
-                                truncated=True)
-    est = state.mean if state.n else None
-    return StopDecision(status="stream-exhausted", n=state.n, stage=None,
-                        estimate=est, rule=rule,
-                        epsilon=goal.epsilon, delta=goal.delta)
+            return decide("cap-reached")
+    return decide("stream-exhausted")

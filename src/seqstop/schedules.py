@@ -31,6 +31,10 @@ STAGE_SCAN_FACTOR = 64
 # stages an unbounded schedule with ratio 1.001 may need at the default cap.
 MAX_STAGES = 100_000
 
+# plan writes floats at 12 significant digits, each within 5e-12 of its
+# value, so a written table may sum above its delta by about 1e-11 of it
+_BUDGET_SLACK = 2e-11
+
 # a schedule document lists these fields in this order; the optional ones
 # may be left out and then take their defaults
 _OPTIONAL_KEYS = ("unbounded", "ratio", "decay", "cap")
@@ -42,9 +46,10 @@ _JSON_KEYS = ("epsilon", "delta", "s", "rule", "stages", "budgets") + \
 class StageSchedule:
     """Checkpoint plan: stage sizes and per-stage budgets.
 
-    ``budgets`` holds the per-stage delta allocation b_l (summing to at
-    most delta); the stopping rules compare kernels against
-    ln(b_l / 2) / m_l.  For finite schedules b_l = delta / s uniformly.
+    ``budgets`` holds the per-stage delta allocation b_l: positive, and
+    summing over the table to at most delta (up to the rounding of a
+    12-digit document), so a union bound over the stages holds.  The
+    kernel rules compare against ln(b_l / 2) / m_l.
     Unbounded schedules continue the given stages with m_{l+1} =
     max(m_l + 1, ceil(m_l * ratio)) and b_l = delta (1-decay) decay^(l-1).
     ``table`` holds every (m_l, b_l), built at construction; unbounded
@@ -74,6 +79,8 @@ class StageSchedule:
             raise ValueError("stage sizes must be strictly ascending")
         if len(self.budgets) != len(self.stages):
             raise ValueError("one budget per stage required")
+        if not all(b > 0.0 for b in self.budgets):
+            raise ValueError("stage budgets must be positive")
         table = list(zip(self.stages, self.budgets))
         if self.unbounded:
             if not 1.0 < self.ratio < math.inf:
@@ -95,6 +102,9 @@ class StageSchedule:
                     table.append((m, b))
             except OverflowError:
                 raise ValueError("stage sizes overflow a float") from None
+        spent = math.fsum(b for _, b in table)
+        if spent > self.delta * (1.0 + _BUDGET_SLACK):
+            raise ValueError(f"stage budgets sum to {spent!r} > delta")
         object.__setattr__(self, "table", tuple(table))
         object.__setattr__(self, "_check_sizes",
                            frozenset(m for m, _ in table))

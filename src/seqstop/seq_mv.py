@@ -1,84 +1,35 @@
-"""Variance-aware multistage estimation of a bounded mean.
+"""Variance-aware multistage estimation of a bounded mean: the schedule
+of rule ``mv``, whose stage test is ``rules.RULES["mv"]``."""
 
-At each stage checkpoint a fixed-sample confidence interval for the
-mean is built from the running mean and variance; sampling stops once
-that interval falls inside the target precision band around the sample
-mean.
-"""
+from typing import Iterable
 
-from dataclasses import dataclass
-from typing import Iterable, Tuple
+from .rules import RULES, StopDecision, run_to_stop
+from .schedules import StageSchedule, plan_bounded_abs
 
-from .fixed_ci import ci_mean
-from .rules import EstimationGoal, RunningSample, StopDecision, feed
-from .schedules import plan_bounded_abs
-
-__all__ = ["MvPlan", "plan_mv", "run_mv"]
+__all__ = ["plan_mv", "run_mv"]
 
 
-@dataclass(frozen=True)
-class MvPlan:
-    """Stage sample sizes plus the precision/confidence targets."""
+def plan_mv(epsilon: float, delta: float, s: int) -> StageSchedule:
+    """Rule A's stage sizes, from ceil(ln(2s/d) / ln(1/(1-e))) geometric
+    up to m_s = ceil(ln(2s/d) / (2 e^2)), with budgets d/(2s) before the
+    last stage and d/s at it.
 
-    epsilon: float
-    delta: float
-    s: int
-    sizes: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
-            raise ValueError("stage sizes must be strictly ascending")
-
-    @property
-    def stage_budget(self) -> float:
-        return self.delta / (2.0 * self.s)
-
-
-def plan_mv(epsilon: float, delta: float, s: int) -> MvPlan:
-    """Rule A's stage sizes: geometric from ceil(ln(2s/d) / ln(1/(1-e)))
-    up to ceil(ln(2s/d) / (2 e^2))."""
-    sizes = plan_bounded_abs(epsilon, delta, s, "A").stages
-    return MvPlan(epsilon=epsilon, delta=delta, s=s, sizes=sizes)
-
-
-def run_mv(stream: Iterable[float], plan: MvPlan) -> StopDecision:
-    """Consume observations until a stage interval fits inside the band
-    [mean - epsilon, mean + epsilon].
-
-    A run that passes every stage without triggering ends with status
-    "no-inclusion" and the final-stage mean; the coverage guarantee is
-    not certified for such runs, so they are surfaced rather than folded
-    into "stopped".
+    Stages 1..s-1 test the variance-aware interval at level 1 - d/(2s);
+    the last stage certifies with Hoeffding's bound, and m_s is the
+    smallest size where 2 exp(-2 m_s e^2) <= d/s.  By the union bound over
+    the stages (see ``rules._test_mv``) a stopped run's claim
+    |x - mu| < e fails with probability at most
+    (s - 1) d/(2s) + d/s = (s + 1) d/(2s) <= d.  Keeping the interval test
+    at the last stage as well would spend d/2 + d/s, above d at s = 1.
     """
-    goal = EstimationGoal(parameter="bounded", error="abs",
-                          epsilon=plan.epsilon, delta=plan.delta)
-    state = RunningSample()
-    checkpoints = set(plan.sizes)
-    it = iter(stream)
-    eps = plan.epsilon
-    last_ci = None
-    for x in it:
-        feed(state, x, goal)
-        if state.n in checkpoints:
-            stage = plan.sizes.index(state.n) + 1
-            interval = ci_mean(state.summary(), plan.stage_budget)
-            last_ci = interval
-            xbar = state.mean
-            if xbar - eps <= interval.lower and interval.upper <= xbar + eps:
-                return StopDecision(status="stopped", n=state.n, stage=stage,
-                                    estimate=xbar, rule="MV",
-                                    epsilon=eps, delta=plan.delta,
-                                    lower=interval.lower,
-                                    upper=interval.upper)
-            if state.n == plan.sizes[-1]:
-                return StopDecision(status="no-inclusion", n=state.n,
-                                    stage=stage, estimate=xbar, rule="MV",
-                                    epsilon=eps, delta=plan.delta,
-                                    lower=interval.lower,
-                                    upper=interval.upper)
-    est = state.mean if state.n else None
-    return StopDecision(status="stream-exhausted", n=state.n, stage=None,
-                        estimate=est, rule="MV",
-                        epsilon=eps, delta=plan.delta,
-                        lower=None if last_ci is None else last_ci.lower,
-                        upper=None if last_ci is None else last_ci.upper)
+    stages = plan_bounded_abs(epsilon, delta, s, "A").stages
+    budgets = (delta / (2.0 * s),) * (len(stages) - 1) + (delta / s,)
+    return StageSchedule(epsilon=epsilon, delta=delta, s=s, rule="mv",
+                         stages=stages, budgets=budgets)
+
+
+def run_mv(stream: Iterable[float], schedule: StageSchedule) -> StopDecision:
+    """``run_to_stop`` under rule ``mv``; kept as the name perfbench's
+    tracer wraps."""
+    return run_to_stop(stream, "mv", schedule,
+                       RULES["mv"].goal(schedule.epsilon, schedule.delta))

@@ -13,10 +13,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
+# perfbench wraps run_to_stop, run_mv and ci_mean where this module binds
+# them, so all three stay bound; mv runs go through run_to_stop
 from .fixed_ci import ci_mean
 from .rules import RULES, EstimationGoal, RunningSample, feed, run_to_stop
 from .schedules import StageSchedule
-from .seq_mv import MvPlan, run_mv
+from .seq_mv import run_mv  # noqa: F401
 
 __all__ = [
     "Rng",
@@ -193,12 +195,15 @@ def coverage_chunk(procedure: str, spec: DistributionSpec,
                    reps: int = 1000,
                    rep_offset: int = 0,
                    fixed_n: Optional[int] = None,
-                   plan: Optional[MvPlan] = None
+                   plan: Optional[StageSchedule] = None
                    ) -> Tuple[int, int, int, List[int]]:
     """Raw tallies (covered, cap_hits, no_inclusion, stop sizes) over
     replications rep_offset .. rep_offset + reps - 1.  Replication
     indices fix the stream seeds, so splitting the range over workers
-    changes nothing in the merged result."""
+    changes nothing in the merged result.  ``plan``, which perfbench
+    passes for ``mv``, is another name for ``schedule``."""
+    schedule = schedule or plan
+    goal = goal or RULES[procedure].goal(schedule.epsilon, schedule.delta)
     truth = spec.true_value()
     covered = 0
     cap_hits = 0
@@ -214,21 +219,14 @@ def coverage_chunk(procedure: str, spec: DistributionSpec,
             if interval.lower <= truth <= interval.upper:
                 covered += 1
             continue
-        if procedure == "mv":
-            decision = run_mv(generate(spec, plan.sizes[-1], replication=r),
-                              plan)
-            ns.append(decision.n)
-            if decision.status == "no-inclusion":
-                no_inclusion += 1
-            if abs(decision.estimate - truth) < plan.epsilon:
-                covered += 1
-            continue
         count = schedule.cap if schedule.unbounded else schedule.stages[-1]
         decision = run_to_stop(generate(spec, count, replication=r),
                                procedure, schedule, goal)
         ns.append(decision.n)
         if decision.status == "cap-reached":
             cap_hits += 1
+        elif decision.status == "no-inclusion":
+            no_inclusion += 1
         elif decision.status == "stopped" and RULES[procedure].claim(
                 decision.estimate, truth, goal.epsilon):
             covered += 1
@@ -267,14 +265,15 @@ def coverage_experiment(procedure: str, spec: DistributionSpec,
                         goal: Optional[EstimationGoal] = None,
                         schedule: Optional[StageSchedule] = None,
                         reps: int = 1000,
-                        fixed_n: Optional[int] = None,
-                        plan: Optional[MvPlan] = None) -> CoverageReport:
+                        fixed_n: Optional[int] = None) -> CoverageReport:
     """Monte Carlo estimate of the terminal-claim coverage.
 
-    procedure is a rule letter A..F (needs goal + schedule), "mv"
-    (needs plan), or "ci" (needs goal + fixed_n).  Cap hits and
-    no-inclusion outcomes count as coverage failures.
+    procedure is a ``RULES`` key A..F or "mv" (needs a schedule; the goal
+    defaults to the rule's at the schedule's epsilon and delta), or "ci"
+    (needs goal + fixed_n).  Only ``stopped`` runs whose claim holds
+    count as covered: cap hits, no-inclusion and exhausted runs count as
+    coverage failures.
     """
     chunk = coverage_chunk(procedure, spec, goal=goal, schedule=schedule,
-                           reps=reps, fixed_n=fixed_n, plan=plan)
+                           reps=reps, fixed_n=fixed_n)
     return report_from_chunks(procedure, spec, reps, [chunk])

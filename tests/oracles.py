@@ -2,13 +2,14 @@
 independently of the adaptive scan and the stopping-rule engine."""
 
 import math
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
+from scipy.stats import binom
 
 from seqstop import kernels
 from seqstop.fixed_ci import SampleSummary
-from seqstop.rules import EstimationGoal, RunningSample
+from seqstop.rules import RULES, EstimationGoal, RunningSample
 from seqstop.schedules import StageSchedule
 
 
@@ -191,3 +192,40 @@ def oracle_sequence_limits(state: RunningSample, schedule: StageSchedule,
             upper = _bisect_crossing(toward_mean_from_above, lo, hi,
                                      threshold, above_at_hi=False)
     return lower, upper
+
+
+# -- exact outcome probabilities for Bernoulli streams ---------------------
+
+def exact_bernoulli_outcomes(rule: str, schedule: StageSchedule,
+                             ps: Sequence[float]
+                             ) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact certified coverage and no-inclusion probability of a rule on
+    a finite schedule, for Bernoulli(p) streams at each p in ps.
+
+    After n Bernoulli draws the running sums are (n, k, k) exactly, k the
+    number of ones, so the decision at stage size m_l is a table over k,
+    built from the rule's stage tests alone.  The law of k over the runs
+    still going is carried from stage to stage by Binomial(m_{l+1} - m_l,
+    p) increments.  A run stopped with its claim true counts as covered;
+    mass left after the last stage ends ``no-inclusion``.  The rule's
+    claim must take numpy arrays, as the absolute and relative ones do.
+    """
+    spec = RULES[rule]
+    goal = spec.goal(schedule.epsilon, schedule.delta)
+    ps = np.asarray(ps, dtype=float)
+    covered = np.zeros(len(ps))
+    going = np.ones((len(ps), 1))  # P(k ones, not stopped) at n = 0
+    n = 0
+    for m, _ in schedule.table:
+        step = binom.pmf(np.arange(m - n + 1), m - n, ps[:, None])
+        grown = np.zeros((len(ps), m + 1))
+        for j in range(m - n + 1):
+            grown[:, j:j + n + 1] += going * step[:, j:j + 1]
+        stops = np.array([
+            any(spec.test(RunningSample(m, float(k), float(k)), m_j, b_j,
+                          goal, schedule) for m_j, b_j in schedule.table)
+            for k in range(m + 1)])
+        claims = spec.claim(np.arange(m + 1) / m, ps[:, None], goal.epsilon)
+        covered += (grown * (stops & claims)).sum(axis=1)
+        going, n = np.where(stops, 0.0, grown), m
+    return covered, going.sum(axis=1)

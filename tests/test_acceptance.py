@@ -297,7 +297,7 @@ def test_criterion_8_fixed_ci_and_multistage_coverage():
 
     plan = plan_mv(0.1, 0.05, 5)
     spec_mv = DistributionSpec("bernoulli", {"p": 0.2}, seed=802)
-    mv_report = coverage_experiment("mv", spec_mv, plan=plan, reps=2000)
+    mv_report = coverage_experiment("mv", spec_mv, schedule=plan, reps=2000)
     no_incl_rate = mv_report.no_inclusion / 2000.0
 
     ok = (ci_report.coverage >= 0.95 and mv_report.coverage >= 0.95

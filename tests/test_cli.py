@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -272,7 +274,7 @@ _TOKENS = st.one_of(
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
-@given(rule=st.sampled_from("ABCDEF"),
+@given(rule=st.sampled_from(list(RULES)),
        tokens=st.lists(_TOKENS, max_size=60))
 def test_run_exit_codes_on_any_stream(rule, tokens):
     with tempfile.TemporaryDirectory() as tmp:
@@ -392,6 +394,43 @@ def test_run_stops_reading_at_its_decision(capsys, monkeypatch):
     assert stdin.tell() < len(stdin.getvalue()) // 10
 
 
+def _finite_schedule_file(tmp_path, budget):
+    path = tmp_path / "sched.json"
+    path.write_text(json.dumps({"epsilon": 0.1, "delta": 0.05, "s": 5,
+                                "rule": "A", "stages": [10, 11, 12, 13, 14],
+                                "budgets": [budget] * 5}))
+    return str(path)
+
+
+def test_run_ends_at_the_last_stage_of_a_finite_schedule(tmp_path):
+    # rule A cannot fire by n = 14; the run ends there, not at the end of
+    # an endless stream
+    path = _finite_schedule_file(tmp_path, 0.01)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    ones = subprocess.Popen(["yes", "1"], stdout=subprocess.PIPE)
+    run = subprocess.Popen(
+        [sys.executable, "-m", "seqstop.cli", "run", "--rule", "A",
+         "--schedule", path], stdin=ones.stdout, stdout=subprocess.PIPE,
+        env=env, text=True)
+    ones.stdout.close()
+    try:
+        out, _ = run.communicate(timeout=30)
+    finally:
+        for proc in (run, ones):
+            proc.kill()
+            proc.wait()
+    assert run.returncode == 0
+    doc = json.loads(out)
+    assert (doc["status"], doc["n"], doc["stage"]) == ("no-inclusion", 14, 5)
+
+
+def test_run_refuses_budgets_above_delta(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "run", "--rule", "A", "--schedule",
+                             _finite_schedule_file(tmp_path, 0.049),
+                             "--input", write_stream(tmp_path, [1.0] * 60))
+    assert code == 2 and out == "" and "budgets" in err
+
+
 @pytest.mark.parametrize("bad_line, expected", [(60, 0), (10, 3)])
 def test_run_checks_tokens_only_up_to_its_decision(capsys, tmp_path,
                                                     bad_line, expected):
@@ -447,7 +486,7 @@ _IN_SUPPORT = {
 }
 
 
-@pytest.mark.parametrize("rule", "ABCDEF")
+@pytest.mark.parametrize("rule", list(RULES))
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(data=st.data(), stages=st.integers(1, 5),
        delta=st.sampled_from([0.01, 0.05, 0.1, 0.2]))

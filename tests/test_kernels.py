@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqstop import kernels
@@ -247,6 +247,8 @@ class TestExtendedReals:
     @settings(derandomize=True, database=None, deadline=None,
               max_examples=1000)
     @given(z=st.floats(), nu=st.floats(), theta=st.floats())
+    @example(z=5e-324, nu=1.0, theta=0.5)
+    @example(z=1e-320, nu=1.0, theta=0.5)
     def test_no_kernel_returns_nan(self, z, nu, theta):
         # (kernel, arguments, whether they lie in the kernel's domain):
         # inside it a kernel returns a value that is not NaN, outside it
@@ -268,3 +270,5 @@ class TestExtendedReals:
                 assert not in_domain, (kernel.__name__, args)
                 continue
             assert not math.isnan(value), (kernel.__name__, args)
+            if kernel is mb and in_domain:
+                assert value <= 0.0, args

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from seqstop.cli import main
+from seqstop.rules import RULES
 from seqstop.schedules import (DEFAULT_CAP, MAX_STAGES, STAGE_SCAN_FACTOR,
                                StageSchedule, plan_bounded_abs,
                                plan_geometric_mean, plan_unbounded)
@@ -48,6 +49,38 @@ def test_stages_strictly_ascending_and_budgets_uniform():
     assert all(b > a for a, b in zip(sched.stages, sched.stages[1:]))
     assert all(b == sched.delta / sched.s for b in sched.budgets)
     assert sum(sched.budgets) <= sched.delta + 1e-12
+
+
+@pytest.mark.parametrize("budgets, unbounded", [
+    ((0.01, 0.01, 0.01, 0.01, 0.0), False),
+    ((0.01, 0.01, 0.01, 0.01, -0.01), False),
+    ((0.01, 0.01, 0.01, 0.01, math.nan), False),
+    ((0.049,) * 5, False),
+    ((0.0100001,) * 5, False),
+    # the continued stages spend 0.0125 more than the given ones
+    ((0.01,) * 5, True),
+])
+def test_budgets_positive_and_within_delta(budgets, unbounded):
+    with pytest.raises(ValueError, match="budgets"):
+        StageSchedule(epsilon=0.1, delta=0.05, s=5, rule="A",
+                      stages=(10, 11, 12, 13, 14), budgets=budgets,
+                      unbounded=unbounded)
+
+
+def test_budgets_may_carry_twelve_digit_rounding():
+    # plan writes 12 significant digits: 3 * 0.0166666666667 is
+    # 0.0500000000001
+    StageSchedule(epsilon=0.1, delta=0.05, s=3, rule="A", stages=(1, 2, 3),
+                  budgets=(0.0166666666667,) * 3)
+
+
+@pytest.mark.parametrize("rule", list(RULES))
+def test_every_planned_document_loads(capsys, rule):
+    for stages in (1, 3, 7, 40):
+        for delta in (0.01, 0.05, 0.3, 0.123456789):
+            assert main(["plan", "--rule", rule, "--stages", str(stages),
+                         "--delta", repr(delta)]) == 0
+            StageSchedule.from_json(capsys.readouterr().out)
 
 
 def test_final_stage_meets_lower_bound():

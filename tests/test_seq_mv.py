@@ -1,21 +1,30 @@
 import itertools
+import json
 
+import numpy as np
 import pytest
 
+from seqstop.cli import main
 from seqstop.fixed_ci import SampleSummary, ci_mean
+from seqstop.rules import RULES, run_to_stop
+from seqstop.schedules import StageSchedule
 from seqstop.seq_mv import plan_mv, run_mv
 from seqstop.sim import DistributionSpec, generate
+
+from oracles import exact_bernoulli_outcomes
 
 
 def test_plan_example():
     plan = plan_mv(0.1, 0.05, 5)
-    assert plan.sizes[0] == 51
-    assert plan.sizes[-1] == 265
+    assert plan.rule == "mv"
+    assert plan.stages[0] == 51
+    assert plan.stages[-1] == 265
 
 
 def test_plan_single_stage():
     plan = plan_mv(0.1, 0.05, 1)
-    assert plan.sizes == (185,)
+    assert plan.stages == (185,)
+    assert plan.budgets == (0.05,)
 
 
 def test_plan_rejects_large_epsilon():
@@ -24,42 +33,61 @@ def test_plan_rejects_large_epsilon():
 
 
 def test_stage_budget_split():
+    # d/(2s) before the last stage and d/s at it: (s + 1) d/(2s) <= d
     plan = plan_mv(0.1, 0.05, 5)
-    assert plan.stage_budget == pytest.approx(0.005)
+    assert plan.budgets == (0.005,) * 4 + (0.01,)
+    assert sum(plan.budgets) <= plan.delta
 
 
 def test_low_variance_stream_stops_early():
     plan = plan_mv(0.1, 0.05, 5)
     decision = run_mv(itertools.repeat(0.5, 300), plan)
     assert decision.status == "stopped"
-    assert decision.n in plan.sizes
-    assert decision.n < plan.sizes[-1]
+    assert decision.rule == "mv"
+    assert decision.n in plan.stages
+    assert decision.n < plan.stages[-1]
     assert decision.estimate == 0.5
-    # the reported interval satisfies the inclusion that triggered the stop
-    assert decision.estimate - plan.epsilon <= decision.lower
-    assert decision.upper <= decision.estimate + plan.epsilon
 
 
 def test_all_zeros_stream():
     plan = plan_mv(0.1, 0.05, 5)
     decision = run_mv(itertools.repeat(0.0, 300), plan)
-    assert decision.status == "stopped"
+    assert (decision.status, decision.n, decision.stage) == \
+        ("stopped", 77, 2)
     assert decision.estimate == 0.0
-    assert decision.lower == 0.0
-    assert decision.upper <= plan.epsilon
-    # cross-check against a direct interval at the stopping point
-    summary = SampleSummary(n=decision.n, mean=0.0, var=0.0)
-    again = ci_mean(summary, plan.stage_budget)
-    assert decision.upper == again.upper
+    assert decision.lower is None and decision.upper is None
 
 
 def test_never_reads_past_last_stage():
+    # the last stage certifies with Hoeffding's bound whatever the data
     plan = plan_mv(0.1, 0.05, 5)
-    spec = DistributionSpec("bernoulli", {"p": 0.2}, seed=15)
-    for rep in range(5):
-        decision = run_mv(generate(spec, plan.sizes[-1], rep), plan)
-        assert decision.n <= plan.sizes[-1]
-        assert decision.status in ("stopped", "no-inclusion")
+    for p in (0.2, 0.5):
+        spec = DistributionSpec("bernoulli", {"p": p}, seed=15)
+        for rep in range(5):
+            decision = run_mv(generate(spec, plan.stages[-1], rep), plan)
+            assert decision.n <= plan.stages[-1]
+            assert decision.status == "stopped"
+
+
+def test_exact_bernoulli_coverage():
+    # every run is certified: coverage counts stopped runs only, and no
+    # mass is left at the last stage
+    ps = np.arange(1, 1000) / 1000
+    covered, no_inclusion = exact_bernoulli_outcomes(
+        "mv", plan_mv(0.1, 0.05, 5), ps)
+    assert covered.min() >= 1.0 - 0.05
+    assert not no_inclusion.any()
+
+
+def test_last_budget_too_small_for_hoeffding_ends_no_inclusion():
+    # 2 exp(-2 * 265 * 0.01) = 0.00998 is above the last budget 0.009
+    plan = StageSchedule(epsilon=0.1, delta=0.05, s=5, rule="mv",
+                         stages=(51, 77, 117, 176, 265),
+                         budgets=(0.005,) * 4 + (0.009,))
+    decision = run_mv(iter([0.0, 1.0] * 500), plan)
+    assert (decision.status, decision.n, decision.stage) == \
+        ("no-inclusion", 265, 5)
+    assert decision.estimate == 132 / 265
 
 
 def test_stream_exhaustion():
@@ -69,19 +97,46 @@ def test_stream_exhaustion():
     assert decision.n == 10
 
 
+def test_run_mv_is_run_to_stop():
+    plan = plan_mv(0.1, 0.05, 5)
+    spec = DistributionSpec("bernoulli", {"p": 0.1}, seed=3)
+    goal = RULES["mv"].goal(0.1, 0.05)
+    for rep in range(5):
+        assert run_mv(generate(spec, 265, rep), plan) == \
+            run_to_stop(generate(spec, 265, rep), "mv", plan, goal)
+
+
 def test_inclusion_reevaluates_at_stop():
     plan = plan_mv(0.1, 0.05, 5)
-    spec = DistributionSpec("bernoulli", {"p": 0.2}, seed=29)
+    spec = DistributionSpec("bernoulli", {"p": 0.1}, seed=29)
+    early = 0
     for rep in range(10):
-        draws = list(generate(spec, plan.sizes[-1], rep))
+        draws = list(generate(spec, plan.stages[-1], rep))
         decision = run_mv(iter(draws), plan)
-        if decision.status != "stopped":
+        if decision.status != "stopped" or decision.n == plan.stages[-1]:
             continue
+        early += 1
         xs = draws[:decision.n]
         mean = sum(xs) / len(xs)
         var = sum((x - mean) ** 2 for x in xs) / len(xs)
         interval = ci_mean(SampleSummary(n=len(xs), mean=mean,
                                          var=min(var, 0.25)),
-                           plan.stage_budget)
+                           plan.stage(decision.stage)[1])
         assert mean - plan.epsilon <= interval.lower
         assert interval.upper <= mean + plan.epsilon
+    assert early > 0
+
+
+def test_cli_run_rule_mv(capsys, tmp_path):
+    code = main(["plan", "--rule", "mv"])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert StageSchedule.from_json(out) == plan_mv(0.1, 0.05, 5)
+    stream = tmp_path / "halves.txt"
+    stream.write_text("0.5\n" * 300)
+    code = main(["run", "--rule", "mv", "--input", str(stream)])
+    out, _ = capsys.readouterr()
+    doc = json.loads(out)
+    assert code == 0
+    assert (doc["status"], doc["rule"], doc["n"]) == ("stopped", "mv", 176)
+    assert "L" not in doc and "U" not in doc
