@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
-from scipy.optimize import brentq
-
 from .kernels import phi, psi, varphi
 
 __all__ = [
@@ -248,7 +246,7 @@ def region_contains(summary: SampleSummary, delta: float,
         _phi_ext(summary.w(nu), vartheta) < threshold
 
 
-def _phi_roots(w: float, threshold: float,
+def _phi_roots(w: float, threshold: float, brentq: Callable[..., float],
                cap: float = 0.25) -> List[float]:
     """Solutions of phi(w, t) = threshold, at most one on each side of w.
 
@@ -287,6 +285,10 @@ def region_boundary(summary: SampleSummary, delta: float,
     satisfies its curve's defining equation and the remaining membership
     constraints.
     """
+    # scipy is loaded only here, so that the other commands never pay
+    # for its import
+    from scipy.optimize import brentq
+
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     if not 0.0 < delta < 1.0:
@@ -312,7 +314,7 @@ def region_boundary(summary: SampleSummary, delta: float,
             if _div(xbar, nu, tmax) < threshold and \
                     _phi_ext(summary.w(nu), tmax) < threshold:
                 points.append((env, nu, tmax))
-            for root in _phi_roots(summary.w(nu), threshold):
+            for root in _phi_roots(summary.w(nu), threshold, brentq):
                 if root <= tmax and _div(xbar, nu, root) < threshold:
                     points.append((phicurve, nu, root))
         # tail-divergence curve: solve for nu at fixed vartheta, using

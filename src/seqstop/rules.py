@@ -4,12 +4,17 @@ Rules A-F compare a divergence kernel of the running sample mean against
 a per-stage threshold ln(b_l / 2) / m_l and stop at the first stage
 where the inequality holds; ``mv`` tests an interval.  ``RULES`` maps
 each rule key to its target family, error kind, per-stage test and
-terminal claim.
+terminal claim.  A rule looks at the data only at the stage sizes m_l,
+and there only through the running sums (n, sum x, sum x^2), so the
+engine reads its stream through a ``source`` that folds it into those
+sums up to the next m_l.
 """
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
+from itertools import islice
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional
 
@@ -24,6 +29,7 @@ __all__ = [
     "RuleSpec",
     "RULES",
     "feed",
+    "source",
     "stop_stage",
     "run_to_stop",
     "STAGE_SCAN_FACTOR",
@@ -132,11 +138,42 @@ class StopDecision:
         return json.dumps(self.to_dict())
 
 
+def source(stream: Iterable[float]) -> Callable[
+        [RunningSample, int, EstimationGoal], None]:
+    """How the engine reads stream: ``fold(state, n, goal)`` folds the
+    next observations into state until state.n == n, or fewer if the
+    stream ends, checking each against the goal's support as ``feed``
+    does.
+
+    A stream with a ``fold_to`` method (the block draws of
+    ``sim.generate``) folds itself.  Any other iterable is read one
+    observation at a time, and no further than n, so a reader behind it
+    stops at the engine's decision.
+    """
+    fold = getattr(stream, "fold_to", None)
+    if fold is not None:
+        return fold
+    it = iter(stream)
+
+    def fold(state: RunningSample, n: int, goal: EstimationGoal) -> None:
+        # the support test inline: a value it passes lies in the goal's
+        # support, and validate_observation has the last word on the rest
+        bounded = goal.parameter == "bounded"
+        lo = 1.0 if goal.parameter == "geometric" else 0.0
+        hi = 1.0 if bounded else sys.float_info.max
+        count, total, total_sq = state.n, state.total, state.total_sq
+        for x in islice(it, n - count):
+            if not lo <= x <= hi or (not bounded and x != int(x)):
+                goal.validate_observation(x)
+            count += 1
+            total += x
+            total_sq += x * x
+        state.n, state.total, state.total_sq = count, total, total_sq
+
+    return fold
+
+
 # -- per-stage conditions --------------------------------------------------
-
-def _threshold(m: int, budget: float) -> float:
-    return math.log(budget / 2.0) / m
-
 
 def _cond_a(xbar: float, n: int, m: int, eps: float, thr: float) -> bool:
     base = 0.5 - abs(0.5 - xbar) + eps
@@ -193,22 +230,21 @@ def _ratio_claim(estimate: float, truth: float, eps: float) -> bool:
 
 def _kernel_test(cond):
     """Per-stage test comparing a kernel against ln(b_l / 2) / m_l."""
-    # runs for every stage scanned: mean and threshold are taken inline
-    def test(state, m, budget, goal, schedule):
+    # runs for every stage scanned: the mean is taken inline
+    def test(state, m, budget, threshold, goal, schedule):
         n = state.n
-        return cond(state.total / n, n, m, goal.epsilon,
-                    math.log(budget / 2.0) / m)
+        return cond(state.total / n, n, m, goal.epsilon, threshold)
     return test
 
 
-def _test_b(state, m, budget, goal, schedule):
+def _test_b(state, m, budget, threshold, goal, schedule):
     """Rule B's quadratic surrogate uses ln(2s/delta), not the threshold."""
     n = state.n
     return _cond_b(state.total / n, n, m, goal.epsilon, goal.delta,
                    schedule.s)
 
 
-def _test_mv(state, m, budget, goal, schedule):
+def _test_mv(state, m, budget, threshold, goal, schedule):
     """The multistage estimator's test at n = m_l only, as ``stop_stage``
     scans every stage.
 
@@ -223,7 +259,7 @@ def _test_mv(state, m, budget, goal, schedule):
         return False
     eps = goal.epsilon
     if m == schedule.table[-1][0]:
-        return -2.0 * eps * eps <= _threshold(m, budget)
+        return -2.0 * eps * eps <= threshold
     interval = ci_mean(state.summary(), budget)
     xbar = state.mean
     return xbar - eps <= interval.lower and interval.upper <= xbar + eps
@@ -231,8 +267,9 @@ def _test_mv(state, m, budget, goal, schedule):
 
 @dataclass(frozen=True)
 class RuleSpec:
-    """What a rule key means: ``test(state, m_l, b_l, goal, schedule)``
-    is its stage-l inequality on the running sums and
+    """What a rule key means: ``test(state, m_l, b_l, t_l, goal,
+    schedule)`` is its stage-l inequality on the running sums, with
+    t_l = ln(b_l / 2) / m_l from the schedule's table, and
     ``claim(estimate, truth, epsilon)`` the error claim a stopped run
     makes."""
 
@@ -277,10 +314,10 @@ def stop_stage(rule: str, state: RunningSample, schedule: StageSchedule,
     if state.n == 0:
         return None
     n = state.n
-    for ell, (m, budget) in enumerate(schedule.table, 1):
+    for ell, (m, budget, threshold) in enumerate(schedule.table, 1):
         if schedule.unbounded and m >= n * STAGE_SCAN_FACTOR and ell > 1:
             return None
-        if test(state, m, budget, goal, schedule):
+        if test(state, m, budget, threshold, goal, schedule):
             return ell
     return None
 
@@ -289,9 +326,17 @@ def run_to_stop(stream: Iterable[float], rule: str, schedule: StageSchedule,
                 goal: EstimationGoal) -> StopDecision:
     """Consume observations until the rule fires, the cap is hit, the last
     stage of a finite schedule passes without firing (``no-inclusion``),
-    or the stream runs out."""
+    or the stream runs out.
+
+    The run walks the stage table: it folds the stream up to each m_l
+    (or up to the cap, if that comes first) through ``source`` and
+    decides there.  Rules decide only at stage sizes, so this is the
+    decision a check after every observation would reach.
+    """
     _rule_spec(rule, goal)
     state = RunningSample()
+    fold = source(stream)
+    cap = max(schedule.cap, 1) if schedule.unbounded else math.inf
 
     def decide(status: str, stage: Optional[int] = None) -> StopDecision:
         return StopDecision(status=status, n=state.n, stage=stage,
@@ -300,14 +345,15 @@ def run_to_stop(stream: Iterable[float], rule: str, schedule: StageSchedule,
                             delta=goal.delta,
                             truncated=status == "cap-reached")
 
-    for x in stream:
-        feed(state, x, goal)
-        if schedule.in_check_set(state.n):
+    for m, _, _ in schedule.table:
+        fold(state, min(m, cap), goal)
+        if state.n == m:
             ell = stop_stage(rule, state, schedule, goal)
             if ell is not None:
                 return decide("stopped", ell)
-            if not schedule.unbounded and state.n == schedule.table[-1][0]:
-                return decide("no-inclusion", len(schedule.table))
-        if schedule.unbounded and state.n >= schedule.cap:
+        if state.n >= cap:
             return decide("cap-reached")
-    return decide("stream-exhausted")
+        if state.n < m:
+            return decide("stream-exhausted")
+    # an unbounded table reaches past its cap, so only a finite one ends
+    return decide("no-inclusion", len(schedule.table))

@@ -42,19 +42,29 @@ _JSON_KEYS = ("epsilon", "delta", "s", "rule", "stages", "budgets") + \
     _OPTIONAL_KEYS
 
 
+def _threshold(m: int, budget: float, log_half: float) -> float:
+    """ln(b / 2) / m, from log_half = ln(b / 2) taken in log space where
+    b / 2 underflows to 0.0."""
+    half = budget / 2.0
+    return (math.log(half) if half > 0.0 else log_half) / m
+
+
 @dataclass(frozen=True)
 class StageSchedule:
     """Checkpoint plan: stage sizes and per-stage budgets.
 
     ``budgets`` holds the per-stage delta allocation b_l: positive, and
     summing over the table to at most delta (up to the rounding of a
-    12-digit document), so a union bound over the stages holds.  The
-    kernel rules compare against ln(b_l / 2) / m_l.
+    12-digit document), so a union bound over the stages holds.  Rule B's
+    budgets must all be delta / s.
     Unbounded schedules continue the given stages with m_{l+1} =
     max(m_l + 1, ceil(m_l * ratio)) and b_l = delta (1-decay) decay^(l-1).
-    ``table`` holds every (m_l, b_l), built at construction; unbounded
-    tables end at the first m_l >= cap * STAGE_SCAN_FACTOR, the last stage
-    a run of at most ``cap`` observations can scan.  Runs check at the m_l.
+    ``table`` holds every (m_l, b_l, t_l), built at construction, where
+    t_l = ln(b_l / 2) / m_l is the threshold the kernel rules compare
+    against; once b_l underflows to 0.0, t_l is taken from ln b_l in log
+    space, so it stays finite.  Unbounded tables end at the first
+    m_l >= cap * STAGE_SCAN_FACTOR, the last stage a run of at most
+    ``cap`` observations can scan.  Runs check at the m_l.
     """
 
     epsilon: float
@@ -67,8 +77,8 @@ class StageSchedule:
     ratio: float = 2.0
     decay: float = 0.5
     cap: int = DEFAULT_CAP
-    table: Tuple[Tuple[int, float], ...] = field(init=False, repr=False,
-                                                 compare=False)
+    table: Tuple[Tuple[int, float, float], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.delta < 1.0:
@@ -81,7 +91,16 @@ class StageSchedule:
             raise ValueError("one budget per stage required")
         if not all(b > 0.0 for b in self.budgets):
             raise ValueError("stage budgets must be positive")
-        table = list(zip(self.stages, self.budgets))
+        if self.rule == "B":
+            # rule B's test takes ln(2s / delta) from s, which bounds the
+            # error of each stage by delta / s only if that is its budget
+            share = self.delta / self.s if self.s >= 1 else math.nan
+            if not all(abs(b - share) <= share * _BUDGET_SLACK
+                       for b in self.budgets):
+                raise ValueError("rule B needs every stage budget equal to "
+                                 f"delta / s with s >= 1, s = {self.s!r}")
+        table = [(m, b, _threshold(m, b, math.log(b) - math.log(2.0)))
+                 for m, b in zip(self.stages, self.budgets)]
         if self.unbounded:
             if not 1.0 < self.ratio < math.inf:
                 raise ValueError("unbounded schedules need a finite ratio > 1")
@@ -94,20 +113,22 @@ class StageSchedule:
                     MAX_STAGES * math.log(self.ratio):
                 raise ValueError(f"ratio {self.ratio!r} may need more than "
                                  f"{MAX_STAGES} stages to reach {target}")
+            log_half = math.log(self.delta * (1.0 - self.decay) / 2.0)
             try:
                 while m < target:
                     m = max(m + 1, math.ceil(m * self.ratio))
-                    b = self.delta * (1.0 - self.decay) * \
-                        self.decay ** len(table)
-                    table.append((m, b))
+                    ell = len(table)
+                    b = self.delta * (1.0 - self.decay) * self.decay ** ell
+                    table.append((m, b, _threshold(
+                        m, b, log_half + ell * math.log(self.decay))))
             except OverflowError:
                 raise ValueError("stage sizes overflow a float") from None
-        spent = math.fsum(b for _, b in table)
+        spent = math.fsum(b for _, b, _ in table)
         if spent > self.delta * (1.0 + _BUDGET_SLACK):
             raise ValueError(f"stage budgets sum to {spent!r} > delta")
         object.__setattr__(self, "table", tuple(table))
         object.__setattr__(self, "_check_sizes",
-                           frozenset(m for m, _ in table))
+                           frozenset(m for m, _, _ in table))
 
     # -- stage access ------------------------------------------------------
 
@@ -115,7 +136,7 @@ class StageSchedule:
         """(m_l, b_l) for 1-based stage index ell."""
         if ell < 1:
             raise ValueError("stage index is 1-based")
-        return self.table[ell - 1]
+        return self.table[ell - 1][:2]
 
     def in_check_set(self, n: int) -> bool:
         return n in self._check_sizes

@@ -6,6 +6,15 @@ constant 0x9E3779B97F4A7C15 and each output is the mix
 z *= 0x94D049BB133111EB; z ^= z >> 31`` of the new state.  Replication
 r of an experiment with seed S uses stream seed S xor mix(r), so any
 implementation of the same recipe reproduces the streams bit for bit.
+
+The generator is counter-based: uniform j of a stream is
+mix(seed + j * 0x9E3779B97F4A7C15), with no dependence on earlier
+outputs (Steele, Lea & Flood, OOPSLA 2014; Salmon et al., SC 2011).  So
+the Bernoulli and integer-shape scaled-beta streams of ``generate`` also
+draw whole blocks with numpy's wrapping uint64 arithmetic, which gives
+the same uniforms, the same draws and, summed in order, the same running
+sums as one draw at a time.  The other kinds use ``math`` functions whose
+numpy counterparts may differ in the last bit, and stay scalar.
 """
 
 import json
@@ -16,7 +25,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 # perfbench wraps run_to_stop, run_mv and ci_mean where this module binds
 # them, so all three stay bound; mv runs go through run_to_stop
 from .fixed_ci import ci_mean
-from .rules import RULES, EstimationGoal, RunningSample, feed, run_to_stop
+from .rules import RULES, EstimationGoal, RunningSample, run_to_stop, source
 from .schedules import StageSchedule
 from .seq_mv import run_mv  # noqa: F401
 
@@ -32,6 +41,9 @@ __all__ = [
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+# uniforms per block of a block-drawn stream, which bounds its memory
+_BLOCK_UNIFORMS = 1 << 16
 
 
 def _mix(x: int) -> int:
@@ -107,18 +119,28 @@ class DistributionSpec:
         return float(p["lam"])
 
 
+def _order_statistic(spec: DistributionSpec) -> Optional[Tuple[int, int]]:
+    """(k, t) when a scaled-beta draw is the k-th smallest of t uniforms:
+    for integer shapes a, b with a + b <= 64, Beta(k, t + 1 - k) with
+    k = a and t = a + b - 1."""
+    a, b = spec.params["alpha"], spec.params["beta"]
+    if a == int(a) and b == int(b) and a + b <= 64:
+        return int(a), int(a) + int(b) - 1
+    return None
+
+
 def _draw(rng: Rng, spec: DistributionSpec) -> float:
     p = spec.params
     if spec.kind == "bernoulli":
         return 1.0 if rng.uniform() < p["p"] else 0.0
     if spec.kind == "scaled-beta":
-        a, b = p["alpha"], p["beta"]
-        if a == int(a) and b == int(b) and a + b <= 64:
-            # k-th order statistic of a+b-1 uniforms is Beta(k, a+b-k)
-            k, total = int(a), int(a) + int(b) - 1
+        order = _order_statistic(spec)
+        if order is not None:
+            k, total = order
             us = sorted(rng.uniform() for _ in range(total))
             return us[k - 1]
         # Johnk's rejection method for non-integer shapes
+        a, b = p["alpha"], p["beta"]
         while True:
             x = rng.uniform() ** (1.0 / a)
             y = rng.uniform() ** (1.0 / b)
@@ -147,14 +169,108 @@ def _draw(rng: Rng, spec: DistributionSpec) -> float:
         k += 1
 
 
+class _BlockStream:
+    """Draws of a Bernoulli or integer-shape scaled-beta stream.
+
+    Iterating yields one draw at a time.  ``fold_to``, which the engine
+    uses instead (see ``rules.source``), draws blocks of at most
+    ``_BLOCK_UNIFORMS`` uniforms and folds them into the running sums.
+    A stream is read one way or the other, not both.
+    """
+
+    def __init__(self, spec: DistributionSpec, count: int, rng: Rng,
+                 order: Optional[Tuple[int, int]]) -> None:
+        self._spec, self._rng, self._order = spec, rng, order
+        self._per_draw = 1 if order is None else order[1]
+        self._left = count  # draws not yet taken from rng
+        self._start = self._end = 0  # the block holds draws start..end-1
+        self._values = None
+
+    def __iter__(self) -> "_BlockStream":
+        return self
+
+    def __next__(self) -> float:
+        if self._left == 0:
+            raise StopIteration
+        self._left -= 1
+        return _draw(self._rng, self._spec)
+
+    def fold_to(self, state: RunningSample, n: int,
+                goal: EstimationGoal) -> None:
+        """``rules.source``'s fold: state, which holds this stream's first
+        state.n draws, is moved on to its first n (fewer at its end).
+
+        Bernoulli draws are 0.0 or 1.0, so their sums are whole numbers,
+        which float adds keep exactly: adding the count of ones is the
+        per-draw fold.  Other draws are summed with ``np.add.accumulate``
+        from state's sums, which adds in order as the per-draw fold does;
+        ``np.sum`` would add pairwise and round differently.
+        """
+        import numpy as np
+
+        while state.n < n and (state.n < self._end or self._next_block(n)):
+            i, j = state.n - self._start, min(n, self._end) - self._start
+            values = self._values[i:j]
+            if goal.parameter != "bounded" or values.min() < 0.0 or \
+                    values.max() > 1.0:
+                for x in values.tolist():
+                    goal.validate_observation(float(x))
+            state.n = self._start + j
+            if self._order is None:
+                ones = int(np.count_nonzero(values))
+                state.total += ones
+                state.total_sq += ones
+            else:
+                state.total = float(np.add.accumulate(
+                    np.concatenate(([state.total], values)))[-1])
+                state.total_sq = float(np.add.accumulate(
+                    np.concatenate(([state.total_sq], values * values)))[-1])
+
+    def _next_block(self, n: int) -> bool:
+        """Draw the next block: up to draw n, but at least 1/16 of the
+        largest block, so that a run of small folds draws few blocks, and
+        at most the largest block or what is left of the stream."""
+        import numpy as np
+
+        largest = max(1, _BLOCK_UNIFORMS // self._per_draw)
+        size = min(self._left, largest, max(n - self._end, largest // 16))
+        if size == 0:
+            return False
+        # uniform j after the state s is mix(s + j * golden), j = 1, 2, ...
+        state, count = self._rng._state, size * self._per_draw
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= np.uint64(_GOLDEN)
+        z += np.uint64(state)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        z >>= np.uint64(11)  # the uniform is z * 2^-53, exactly
+        if self._order is None:
+            # z * 2^-53 < p exactly when the integer z < ceil(p * 2^53)
+            limit = math.ceil(self._spec.params["p"] * 2.0 ** 53)
+            self._values = z < np.uint64(limit)
+        else:
+            k, total = self._order
+            u = z.astype(np.float64) * 2.0 ** -53
+            self._values = np.sort(u.reshape(size, total), axis=1)[:, k - 1]
+        self._rng._state = (state + count * _GOLDEN) & _MASK
+        self._left -= size
+        self._start, self._end = self._end, self._end + size
+        return True
+
+
 def generate(spec: DistributionSpec, count: int,
              replication: int = 0) -> Iterator[float]:
     """Lazy stream of count draws for the given replication index."""
     if count < 0:
         raise ValueError("count must be nonnegative")
     rng = Rng(spec.seed ^ _mix(replication))
-    for _ in range(count):
-        yield _draw(rng, spec)
+    order = _order_statistic(spec) if spec.kind == "scaled-beta" else None
+    if spec.kind == "bernoulli" or order is not None:
+        return _BlockStream(spec, count, rng, order)
+    return (_draw(rng, spec) for _ in range(count))
 
 
 @dataclass(frozen=True)
@@ -212,8 +328,8 @@ def coverage_chunk(procedure: str, spec: DistributionSpec,
     for r in range(rep_offset, rep_offset + reps):
         if procedure == "ci":
             state = RunningSample()
-            for x in generate(spec, fixed_n, replication=r):
-                feed(state, x, goal)
+            source(generate(spec, fixed_n, replication=r))(state, fixed_n,
+                                                           goal)
             interval = ci_mean(state.summary(), goal.delta)
             ns.append(fixed_n)
             if interval.lower <= truth <= interval.upper:

@@ -9,7 +9,8 @@ from scipy.stats import binom
 
 from seqstop import kernels
 from seqstop.fixed_ci import SampleSummary
-from seqstop.rules import RULES, EstimationGoal, RunningSample
+from seqstop.rules import (RULES, EstimationGoal, RunningSample,
+                           StopDecision, feed, stop_stage)
 from seqstop.schedules import StageSchedule
 
 
@@ -216,16 +217,46 @@ def exact_bernoulli_outcomes(rule: str, schedule: StageSchedule,
     covered = np.zeros(len(ps))
     going = np.ones((len(ps), 1))  # P(k ones, not stopped) at n = 0
     n = 0
-    for m, _ in schedule.table:
+    for m, _, _ in schedule.table:
         step = binom.pmf(np.arange(m - n + 1), m - n, ps[:, None])
         grown = np.zeros((len(ps), m + 1))
         for j in range(m - n + 1):
             grown[:, j:j + n + 1] += going * step[:, j:j + 1]
         stops = np.array([
-            any(spec.test(RunningSample(m, float(k), float(k)), m_j, b_j,
-                          goal, schedule) for m_j, b_j in schedule.table)
+            any(spec.test(RunningSample(m, float(k), float(k)), *row, goal,
+                          schedule) for row in schedule.table)
             for k in range(m + 1)])
         claims = spec.claim(np.arange(m + 1) / m, ps[:, None], goal.epsilon)
         covered += (grown * (stops & claims)).sum(axis=1)
         going, n = np.where(stops, 0.0, grown), m
     return covered, going.sum(axis=1)
+
+
+# -- per-observation reference for the stopping engine ---------------------
+
+def reference_run_to_stop(stream, rule: str, schedule: StageSchedule,
+                          goal: EstimationGoal) -> StopDecision:
+    """The engine as one loop over the observations: ``feed`` each one,
+    decide wherever n is a stage size, stop at the cap.  ``run_to_stop``
+    folds the stream up to each stage size instead and must decide alike.
+    """
+    state = RunningSample()
+
+    def decide(status, stage=None):
+        return StopDecision(status=status, n=state.n, stage=stage,
+                            estimate=state.mean if state.n else None,
+                            rule=rule, epsilon=goal.epsilon,
+                            delta=goal.delta,
+                            truncated=status == "cap-reached")
+
+    for x in stream:
+        feed(state, x, goal)
+        if schedule.in_check_set(state.n):
+            ell = stop_stage(rule, state, schedule, goal)
+            if ell is not None:
+                return decide("stopped", ell)
+            if not schedule.unbounded and state.n == schedule.table[-1][0]:
+                return decide("no-inclusion", len(schedule.table))
+        if schedule.unbounded and state.n >= schedule.cap:
+            return decide("cap-reached")
+    return decide("stream-exhausted")

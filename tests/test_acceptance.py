@@ -15,7 +15,7 @@ from seqstop.fixed_ci import (SampleSummary, _div, _phi_ext, ci_mean,
                               region_boundary, region_contains)
 from seqstop.kernels import mb, mb_massart, mg, mp, phi, psi, varphi
 from seqstop.rules import (EstimationGoal, RunningSample, _cond_a, _cond_d,
-                           _cond_e, _threshold, run_to_stop)
+                           _cond_e, run_to_stop)
 from seqstop.schedules import (plan_bounded_abs, plan_geometric_mean,
                                plan_unbounded)
 from seqstop.seq_mv import plan_mv
@@ -192,8 +192,8 @@ def test_criterion_4_event_equivalence_oracles():
         n = rng.randint(1, 1000)
         xbar = rng.random()
         ell = rng.randint(1, 5)
-        m, budget = sched_a.stage(ell)
-        cond = _cond_a(xbar, n, m, 0.1, _threshold(m, budget))
+        m, _, threshold = sched_a.table[ell - 1]
+        cond = _cond_a(xbar, n, m, 0.1, threshold)
         st = RunningSample(n=n, total=xbar * n, total_sq=xbar * n)
         lo, hi = oracle_sequence_limits(st, sched_a, goal_a, ell)
         incl = (xbar - 0.1 <= lo) and (hi <= xbar + 0.1)
@@ -206,8 +206,8 @@ def test_criterion_4_event_equivalence_oracles():
         n = rng.randint(1, 2000)
         xbar = rng.uniform(1.0, 20.0)
         ell = rng.randint(1, 5)
-        m, budget = sched_d.stage(ell)
-        cond = _cond_d(xbar, n, m, 0.2, _threshold(m, budget))
+        m, _, threshold = sched_d.table[ell - 1]
+        cond = _cond_d(xbar, n, m, 0.2, threshold)
         st = RunningSample(n=n, total=xbar * n, total_sq=xbar * xbar * n)
         lo, hi = oracle_sequence_limits(st, sched_d, goal_d, ell)
         incl = (0.8 * xbar <= lo) and (hi <= 1.2 * xbar)
@@ -220,8 +220,8 @@ def test_criterion_4_event_equivalence_oracles():
         n = rng.randint(1, 2000)
         xbar = rng.uniform(0.0, 10.0)
         ell = rng.randint(1, 10)
-        m, budget = sched_e.stage(ell)
-        cond = _cond_e(xbar, n, m, 0.5, _threshold(m, budget))
+        m, _, threshold = sched_e.table[ell - 1]
+        cond = _cond_e(xbar, n, m, 0.5, threshold)
         st = RunningSample(n=n, total=xbar * n, total_sq=xbar * xbar * n)
         lo, hi = oracle_sequence_limits(st, sched_e, goal_e, ell)
         incl = (xbar - 0.5 <= lo) and (hi <= xbar + 0.5)

@@ -511,3 +511,40 @@ def test_run_is_silent_on_in_support_streams(rule, data, stages, delta):
                          "--cap", "400", "--input", path])
     assert err.getvalue() == "", (code, err.getvalue())
     assert code in (0, 3)
+
+
+def test_cli_import_loads_neither_scipy_nor_numpy():
+    # scipy is imported by region_boundary and numpy by the block draws,
+    # each when first used
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    check = ("import sys, seqstop.cli; "
+             "assert 'scipy' not in sys.modules, 'scipy'; "
+             "assert 'numpy' not in sys.modules, 'numpy'")
+    subprocess.run([sys.executable, "-c", check], env=env, check=True)
+
+
+def test_run_decides_where_budgets_underflow(capsys, tmp_path):
+    # at ratio 1.001 the budgets of the decay-0.5 continuation underflow
+    # to 0.0 from stage 1071 (m = 1239), which the first checkpoint's scan
+    # reaches; the thresholds are then taken in log space and stay finite
+    flips = [1] * 30 + [0] * 20 + [1] * 2950
+    path = write_stream(tmp_path, flips)
+    code, out, err = run_cli(capsys, "run", "--rule", "C", "--ratio",
+                             "1.001", "--epsilon", "0.5", "--input", path)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["status"], doc["n"], doc["stage"]) == ("stopped", 54, 1)
+
+
+def test_rule_b_schedule_must_split_delta_over_s(capsys, tmp_path):
+    # rule B's test spends delta / s per stage; five stages of delta / 5
+    # under s = 1 would spend 5 delta
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps({"epsilon": 0.1, "delta": 0.05, "s": 1,
+                                "rule": "B",
+                                "stages": [60, 90, 130, 190, 265],
+                                "budgets": [0.01] * 5}))
+    code, out, err = run_cli(capsys, "run", "--rule", "B", "--schedule",
+                             str(path), "--input",
+                             write_stream(tmp_path, [1.0] * 300))
+    assert code == 2 and out == "" and "delta / s" in err

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -7,6 +8,8 @@ from seqstop.rules import (EstimationGoal, RunningSample, StopDecision, feed,
 from seqstop.schedules import plan_bounded_abs, plan_geometric_mean, \
     plan_unbounded
 from seqstop.sim import DistributionSpec, generate
+
+from oracles import reference_run_to_stop
 
 GOAL_ABS = EstimationGoal("bounded", "abs", 0.1, 0.05)
 
@@ -172,3 +175,46 @@ def test_wrong_family_goal_is_rejected():
     with pytest.raises(ValueError):
         stop_stage("D", RunningSample(n=30, total=60.0, total_sq=120.0),
                    sched, goal)
+
+
+@pytest.mark.parametrize("rule, goal, schedule, stream", [
+    # the cap on the stage size where the rule fires, on another stage
+    # size, between two, below the first, at most 0
+    ("E", EstimationGoal("poisson", "abs", 0.5, 0.05),
+     plan_unbounded(0.05, 10, rule="E", epsilon=0.5, cap=320), [4.0] * 999),
+    ("E", EstimationGoal("poisson", "abs", 0.01, 0.05),
+     plan_unbounded(0.05, 10, rule="E", epsilon=0.01, cap=40), [4.0] * 99),
+    ("E", EstimationGoal("poisson", "abs", 0.01, 0.05),
+     plan_unbounded(0.05, 10, rule="E", epsilon=0.01, cap=33), [4.0] * 99),
+    ("E", EstimationGoal("poisson", "abs", 0.01, 0.05),
+     plan_unbounded(0.05, 10, rule="E", epsilon=0.01, cap=3), [4.0] * 99),
+    ("E", EstimationGoal("poisson", "abs", 0.01, 0.05),
+     plan_unbounded(0.05, 10, rule="E", epsilon=0.01, cap=0), [4.0] * 99),
+    ("E", EstimationGoal("poisson", "abs", 0.01, 0.05),
+     plan_unbounded(0.05, 10, rule="E", epsilon=0.01, cap=0), []),
+    # a stream that ends at, just before and past a stage size
+    ("A", GOAL_ABS, plan_bounded_abs(0.1, 0.05, 5, "A"), [0.5] * 117),
+    ("A", GOAL_ABS, plan_bounded_abs(0.1, 0.05, 5, "A"), [0.5] * 116),
+    ("A", GOAL_ABS, plan_bounded_abs(0.1, 0.05, 5, "A"), [0.5] * 300),
+    ("A", GOAL_ABS, plan_bounded_abs(0.1, 0.05, 5, "A"), [1] * 60),
+    ("D", EstimationGoal("geometric", "rel", 0.2, 0.05),
+     plan_geometric_mean(0.2, 0.05, 5), [3.0, 7.0] * 400),
+])
+def test_engine_edges_match_per_observation_loop(rule, goal, schedule,
+                                                 stream):
+    assert run_to_stop(iter(stream), rule, schedule, goal) == \
+        reference_run_to_stop(iter(stream), rule, schedule, goal)
+
+
+@pytest.mark.parametrize("bad", [2.0, -1e-300, math.nan, math.inf])
+def test_engine_checks_support_up_to_its_decision(bad):
+    sched = plan_bounded_abs(0.1, 0.05, 5, "A")
+    with pytest.raises(ValueError):
+        run_to_stop(iter([1.0] * 20 + [bad] + [1.0] * 40), "A", sched,
+                    GOAL_ABS)
+    decision = run_to_stop(iter([1.0] * 51 + [bad]), "A", sched, GOAL_ABS)
+    assert (decision.status, decision.n) == ("stopped", 51)
+    goal = EstimationGoal("poisson", "abs", 0.5, 0.05)
+    with pytest.raises(ValueError):
+        run_to_stop(iter([1.5]), "E", plan_unbounded(0.05, 50, rule="E",
+                                                     epsilon=0.5), goal)

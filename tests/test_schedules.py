@@ -236,3 +236,35 @@ def test_unbounded_rejects_non_finite_and_slow_ratios():
             plan_unbounded(0.05, 50, ratio=ratio)
     with pytest.raises(ValueError):
         plan_bounded_abs(0.1, 0.05, MAX_STAGES + 1, "A")
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"ratio": 1.001}])
+def test_table_thresholds(kwargs):
+    # today's ln(b / 2) / m wherever b / 2 is positive; in log space, and
+    # still falling with the budgets, once it underflows
+    sched = plan_unbounded(0.05, 50, **kwargs)
+    for m, b, threshold in sched.table:
+        if b / 2.0 > 0.0:
+            assert threshold == math.log(b / 2.0) / m
+        else:
+            assert math.isfinite(threshold) and threshold < 0.0
+    under = [ell for ell, (_, b, _) in enumerate(sched.table) if b == 0.0]
+    assert bool(under) == ("ratio" in kwargs)
+    if under:
+        ell = under[0]
+        m, _, threshold = sched.table[ell]
+        assert threshold * m == pytest.approx(
+            math.log(0.05 * 0.5 / 2.0) + ell * math.log(0.5), rel=1e-12)
+
+
+def test_rule_b_budgets_are_delta_over_s():
+    plan_bounded_abs(0.1, 0.05, 5, "B")
+    with pytest.raises(ValueError, match="delta / s"):
+        StageSchedule(epsilon=0.1, delta=0.05, s=1, rule="B",
+                      stages=(60, 90, 130, 190, 265), budgets=(0.01,) * 5)
+    with pytest.raises(ValueError, match="delta / s"):
+        StageSchedule(epsilon=0.1, delta=0.05, s=0, rule="B",
+                      stages=(265,), budgets=(0.05,))
+    # a 12-digit document of a planned table still loads
+    StageSchedule(epsilon=0.1, delta=0.05, s=3, rule="B",
+                  stages=(100, 200, 265), budgets=(0.0166666666667,) * 3)
