@@ -19,7 +19,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional
 
 from . import kernels
-from .fixed_ci import SampleSummary, ci_mean
+from .fixed_ci import SampleSummary, lower_limit, upper_limit
 from .schedules import STAGE_SCAN_FACTOR, StageSchedule
 
 __all__ = [
@@ -254,15 +254,22 @@ def _test_mv(state, m, budget, threshold, goal, schedule):
     1963), whatever the data.  A wrong claim at stage l thus needs an
     event of probability at most b_l, and by the union bound the b_l,
     which ``StageSchedule`` keeps within delta, bound its chance.
+
+    Each limit is swept only when the decision needs it: the lower limit
+    is never below 0 and the upper never above 1, so the lower side holds
+    unswept when x - eps <= 0 and the upper when x + eps >= 1, and once
+    the lower side fails the upper is not swept.
     """
     if m != state.n:
         return False
     eps = goal.epsilon
     if m == schedule.table[-1][0]:
         return -2.0 * eps * eps <= threshold
-    interval = ci_mean(state.summary(), budget)
-    xbar = state.mean
-    return xbar - eps <= interval.lower and interval.upper <= xbar + eps
+    summary = state.summary()
+    xbar = summary.mean
+    return (xbar - eps <= 0.0 or
+            xbar - eps <= lower_limit(summary, budget)) and \
+        (xbar + eps >= 1.0 or upper_limit(summary, budget) <= xbar + eps)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import numpy as np
 from scipy.stats import binom
 
 from seqstop import kernels
-from seqstop.fixed_ci import SampleSummary
+from seqstop.fixed_ci import BISECT_TOL, SampleSummary, _phi_ext, ci_mean
 from seqstop.rules import (RULES, EstimationGoal, RunningSample,
                            StopDecision, feed, stop_stage)
 from seqstop.schedules import StageSchedule
@@ -109,6 +109,40 @@ def oracle_ci_grid(summary: SampleSummary, delta: float,
                 break
             nu += grid_step
     return lower, upper
+
+
+# -- plain forms of the interval layer's shortcuts ------------------------
+
+def reference_phi_crossing(w: float, c: float, threshold: float) -> float:
+    """Lower bracket end of phi(w, t) = threshold on (w, c) by plain
+    bisection to BISECT_TOL, evaluating phi at every midpoint.
+    ``fixed_ci._phi_crossing_lower_bound`` skips the evaluations whose
+    outcome it has certified and must return this same float."""
+    lo, hi = w, c
+    while hi - lo > BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        if _phi_ext(w, mid) > threshold:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+def reference_mv_test(state: RunningSample, m: int, budget: float,
+                      threshold: float, goal: EstimationGoal,
+                      schedule: StageSchedule) -> bool:
+    """Rule mv's stage test on the whole interval: ``ci_mean`` at level
+    1 - b_l within eps of the mean before the last stage, Hoeffding's
+    bound at it.  ``RULES["mv"].test`` sweeps only the limits its
+    decision needs and must decide alike."""
+    if m != state.n:
+        return False
+    eps = goal.epsilon
+    if m == schedule.table[-1][0]:
+        return -2.0 * eps * eps <= threshold
+    interval = ci_mean(state.summary(), budget)
+    xbar = state.mean
+    return xbar - eps <= interval.lower and interval.upper <= xbar + eps
 
 
 # -- bisected per-stage confidence-sequence limits -------------------------

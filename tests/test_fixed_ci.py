@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 from seqstop.fixed_ci import (SampleSummary, ci_mean, lower_limit,
                               region_boundary, region_contains,
                               state_b_holds, state_bu_holds, upper_limit,
-                              _div, _phi_ext)
+                              _div, _phi_band, _phi_crossing_lower_bound,
+                              _phi_ext)
+
+from oracles import reference_phi_crossing
 
 
 def make_summary(n, mean, var):
@@ -181,3 +184,55 @@ def test_interval_and_region_never_raise(n, mean, var, delta):
     ci = ci_mean(s, delta)
     assert 0.0 <= ci.lower <= s.mean <= ci.upper <= 1.0
     region_boundary(s, delta, resolution=20)
+
+
+@pytest.mark.parametrize("limit", [lower_limit, upper_limit, ci_mean])
+@pytest.mark.parametrize("mean", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("delta", [0.0, -0.1, 1.0, 1.5, 5.0, math.nan])
+def test_limits_refuse_delta_outside_unit_interval(limit, mean, delta):
+    # also where the mean sits on the limit's own edge and no sweep runs
+    with pytest.raises(ValueError, match="delta"):
+        limit(make_summary(50, mean, 0.0), delta)
+
+
+@st.composite
+def _crossings(draw):
+    """(w, c, thresholds) with 0 < w < c <= 1/4: w anywhere below c,
+    subnormal-small, or within a few ulps of c.  The thresholds are
+    ln(3 / delta) / n, from n = 10^5 down to n = 1, and a share of
+    phi(w, c), so that the crossing lies inside (w, c)."""
+    c = draw(st.one_of(st.floats(1e-6, 0.25), st.floats(1e-300, 0.25)))
+    w = draw(st.one_of(
+        st.floats(0.0, c, exclude_min=True, exclude_max=True),
+        st.floats(5e-324, 1e-300),
+        st.integers(1, 8).map(
+            lambda k: c - k * math.ulp(c))).filter(lambda v: 0.0 < v < c))
+    n = draw(st.integers(1, 10 ** 5))
+    delta = draw(st.floats(1e-9, 0.99))
+    share = draw(st.floats(0.0, 1.0, exclude_max=True))
+    # thresholds are positive, as every caller's ln(3 / delta) / n is;
+    # a float phi(w, c) may round to 0 or below when c is tiny
+    inside = share * _phi_ext(w, c)
+    return w, c, [math.log(3.0 / delta) / n] + ([inside] if inside > 0.0
+                                                 else [])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(case=_crossings())
+def test_phi_crossing_replays_the_plain_bisection(case):
+    w, c, thresholds = case
+    for threshold in thresholds:
+        assert _phi_crossing_lower_bound(w, c, threshold).hex() == \
+            reference_phi_crossing(w, c, threshold).hex()
+
+
+@pytest.mark.parametrize("w, c, threshold", [
+    # thresholds far below phi's rounding error: no band is certified
+    (0.2, 0.25, 1e-30), (0.1, 0.25, 1e-20), (0.2, 0.25, 1e-14),
+    # threshold above phi(w, c): no crossing in (w, c), Newton never settles
+    (0.01, 0.25, 1.0),
+])
+def test_phi_crossing_without_a_band_is_the_plain_bisection(w, c, threshold):
+    assert _phi_band(w, c, threshold) == (w, c)
+    assert _phi_crossing_lower_bound(w, c, threshold) == \
+        reference_phi_crossing(w, c, threshold)

@@ -1,17 +1,22 @@
+import collections
+import dataclasses
 import itertools
 import json
 
 import numpy as np
 import pytest
 
+from seqstop import rules, sim
 from seqstop.cli import main
 from seqstop.fixed_ci import SampleSummary, ci_mean
-from seqstop.rules import RULES, run_to_stop
+from seqstop.rules import RULES, RunningSample, run_to_stop
 from seqstop.schedules import StageSchedule
 from seqstop.seq_mv import plan_mv, run_mv
-from seqstop.sim import DistributionSpec, generate
+from seqstop.sim import (DistributionSpec, coverage_chunk, generate,
+                         report_from_chunks)
 
-from oracles import exact_bernoulli_outcomes
+from oracles import (exact_bernoulli_outcomes, reference_mv_test,
+                     reference_run_to_stop)
 
 
 def test_plan_example():
@@ -140,3 +145,80 @@ def test_cli_run_rule_mv(capsys, tmp_path):
     assert code == 0
     assert (doc["status"], doc["rule"], doc["n"]) == ("stopped", "mv", 176)
     assert "L" not in doc and "U" not in doc
+
+
+def _mv_states():
+    """(schedule, stage row, state) at every stage size before the last:
+    every count of ones of Bernoulli data, and random [0, 1] sums."""
+    rng = np.random.default_rng(41)
+    for plan in (plan_mv(0.1, 0.05, 5), plan_mv(0.2, 0.1, 3)):
+        for row in plan.table[:-1]:
+            m = row[0]
+            for k in range(m + 1):
+                yield plan, row, RunningSample(m, float(k), float(k))
+            for _ in range(4 * m):
+                xs = rng.beta(*rng.uniform(0.2, 5.0, size=2), size=m)
+                yield plan, row, RunningSample(m, float(np.add.reduce(xs)),
+                                               float(np.add.reduce(xs * xs)))
+
+
+def test_mv_test_decides_as_the_whole_interval():
+    kinds = collections.Counter()
+    for plan, row, state in _mv_states():
+        goal = RULES["mv"].goal(plan.epsilon, plan.delta)
+        decided = RULES["mv"].test(state, *row, goal, plan)
+        xbar, eps = state.mean, plan.epsilon
+        ci = ci_mean(state.summary(), row[1])
+        assert decided == (xbar - eps <= ci.lower and ci.upper <= xbar + eps)
+        kinds["low edge"] += xbar - eps <= 0.0
+        kinds["high edge"] += xbar + eps >= 1.0
+        kinds["both fail"] += xbar - eps > ci.lower and ci.upper > xbar + eps
+        kinds["holds"] += decided
+        kinds["states"] += 1
+    assert kinds["states"] >= 2000
+    assert min(kinds.values()) > 0, kinds
+
+
+@pytest.mark.parametrize("budget", [0.0, 1.5])
+def test_mv_test_refuses_a_budget_outside_the_unit_interval(budget):
+    plan = plan_mv(0.1, 0.05, 5)
+    m = plan.table[0][0]
+    goal = RULES["mv"].goal(plan.epsilon, plan.delta)
+    # mean 0 sweeps only the upper limit, mean 1 only the lower
+    for k in (0, m // 2, m):
+        with pytest.raises(ValueError, match="delta"):
+            RULES["mv"].test(RunningSample(m, float(k), float(k)), m, budget,
+                             0.0, goal, plan)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("bernoulli", {"p": 0.05}), ("bernoulli", {"p": 0.5}),
+    ("scaled-beta", {"alpha": 2, "beta": 5})])
+def test_coverage_chunk_mv_decides_as_the_whole_interval(monkeypatch, kind,
+                                                         params):
+    plan = plan_mv(0.1, 0.05, 5)
+    spec = DistributionSpec(kind, params, seed=73)
+    decisions = []
+
+    def recording(*args):
+        decisions.append(run_to_stop(*args))
+        return decisions[-1]
+
+    monkeypatch.setattr(sim, "run_to_stop", recording)
+    reps = 200
+    whole = coverage_chunk("mv", spec, schedule=plan, reps=reps)
+    split = [coverage_chunk("mv", spec, schedule=plan, reps=size,
+                            rep_offset=off)
+             for size, off in ((91, 0), (reps - 91, 91))]
+    assert report_from_chunks("mv", spec, reps, [whole]) == \
+        report_from_chunks("mv", spec, reps, split)
+    assert decisions[:reps] == decisions[reps:]
+    # the reference engine, deciding each stage on the whole interval
+    monkeypatch.setattr(rules, "RULES", {
+        **RULES, "mv": dataclasses.replace(RULES["mv"],
+                                           test=reference_mv_test)})
+    goal = RULES["mv"].goal(plan.epsilon, plan.delta)
+    for r, decision in enumerate(decisions[:reps]):
+        draws = list(generate(spec, plan.stages[-1], replication=r))
+        assert decision == reference_run_to_stop(iter(draws), "mv", plan,
+                                                 goal)
