@@ -8,8 +8,8 @@ from .kernels import mb, mb_massart, mg, mp, phi, psi, varphi
 from .rules import (EstimationGoal, RunningSample, StopDecision, feed,
                     run_to_stop, stop_stage)
 from .schedules import (StageSchedule, plan_bounded_abs, plan_geometric_mean,
-                        plan_unbounded)
-from .seq_mv import plan_mv, run_mv
+                        plan_mv, plan_unbounded)
+from .seq_mv import run_mv
 from .sim import (CoverageReport, DistributionSpec, coverage_experiment,
                   generate)
 

@@ -12,16 +12,13 @@ Exit codes: 0 success, 2 usage or parameter error, 3 data error
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Iterator, List, Optional
 
 from . import schedules, sim
 from .fixed_ci import SampleSummary, ci_mean, region_boundary
-from .rules import RULES, EstimationGoal, RunningSample, run_to_stop
+from .rules import RULES, EstimationGoal, RunningSample, run_to_stop, source
 from .schedules import StageSchedule
-from .seq_mv import plan_mv
 
 USAGE_ERROR = 2
 DATA_ERROR = 3
@@ -86,17 +83,9 @@ def _build_schedule(args, rule: str) -> StageSchedule:
     """The --schedule file if given, else the rule's default planner."""
     if args.schedule:
         return _read_schedule(args, rule)
-    if rule in ("A", "B"):
-        return schedules.plan_bounded_abs(args.epsilon, args.delta,
-                                          args.stages, rule)
-    if rule == "D":
-        return schedules.plan_geometric_mean(args.epsilon, args.delta,
-                                             args.stages)
-    if rule == "mv":
-        return plan_mv(args.epsilon, args.delta, args.stages)
-    return schedules.plan_unbounded(args.delta, args.m1, ratio=args.ratio,
-                                    decay=args.decay, epsilon=args.epsilon,
-                                    rule=rule, cap=args.cap)
+    return RULES[rule].plan(epsilon=args.epsilon, delta=args.delta,
+                            stages=args.stages, m1=args.m1, ratio=args.ratio,
+                            decay=args.decay, cap=args.cap)
 
 
 def _cmd_plan(args) -> int:
@@ -121,79 +110,54 @@ def _cmd_run(args) -> int:
     return DATA_ERROR if decision.status == "stream-exhausted" else 0
 
 
+# the flags that give each --dist its parameters
+_DIST_FLAGS = {"bernoulli": ("p",), "scaled-beta": ("alpha", "beta"),
+               "discrete": ("support", "probs"), "geometric": ("theta",),
+               "poisson": ("lam",)}
+
+
 def _build_spec(args) -> sim.DistributionSpec:
-    params = {}
-    if args.dist == "bernoulli":
-        params = {"p": args.p}
-    elif args.dist == "scaled-beta":
-        params = {"alpha": args.alpha, "beta": args.beta}
-    elif args.dist == "discrete":
-        params = {"support": [float(v) for v in args.support.split(",")],
-                  "probs": [float(v) for v in args.probs.split(",")]}
-    elif args.dist == "geometric":
-        params = {"theta": args.theta}
-    else:
-        params = {"lam": args.lam}
+    params = {flag: getattr(args, flag) for flag in _DIST_FLAGS[args.dist]}
+    if args.dist == "discrete":
+        params = {k: [float(v) for v in text.split(",")]
+                  for k, text in params.items()}
     return sim.DistributionSpec(kind=args.dist, params=params, seed=args.seed)
 
 
 def _cmd_simulate(args) -> int:
     spec = _build_spec(args)
-    sched = None
-    fixed_n = None
     if args.reps < 0:
         print("error: --reps must be nonnegative", file=sys.stderr)
         return USAGE_ERROR
     if args.procedure == "ci":
-        goal = EstimationGoal("bounded", "abs", args.epsilon, args.delta)
-        fixed_n = args.fixed_n
-        if fixed_n is None or fixed_n < 1:
+        if args.fixed_n is None or args.fixed_n < 1:
             print("error: procedure ci needs a positive --fixed-n",
                   file=sys.stderr)
             return USAGE_ERROR
+        # the interval reads delta alone, so --epsilon goes unchecked: the
+        # goal names the [0, 1] family, and 1/4 is a valid epsilon there
+        goal = EstimationGoal("bounded", "abs", 0.25, args.delta)
+        sched = None
     else:
         goal = RULES[args.procedure].goal(args.epsilon, args.delta)
         sched = _build_schedule(args, args.procedure)
-    workers = args.workers or os.cpu_count() or 1
-    reps = args.reps
-    if workers <= 1 or reps < 2 * workers:
-        chunks = [sim.coverage_chunk(args.procedure, spec, goal, sched, reps,
-                                     0, fixed_n)]
-    else:
-        base = reps // workers
-        sizes = [base + (1 if i < reps % workers else 0)
-                 for i in range(workers)]
-        offsets = [sum(sizes[:i]) for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(sim.coverage_chunk, args.procedure, spec,
-                            goal, sched, size, off, fixed_n)
-                for size, off in zip(sizes, offsets) if size > 0]
-            chunks = [f.result() for f in futures]
-    report = sim.report_from_chunks(args.procedure, spec, reps, chunks)
+    report = sim.coverage_experiment(args.procedure, spec, goal, sched,
+                                     args.reps, args.fixed_n, args.workers)
     print(_json_12sig(report.to_json()))
     return 0
 
 
 def _summary(path: str) -> Optional[SampleSummary]:
-    """The summary of the [0, 1] data at path, or None after saying why not.
-
-    The sums are those ``feed`` builds, folded in place: a ``feed`` call
-    per observation would make a request about a tenth slower."""
-    n, total, total_sq = 0, 0.0, 0.0
+    """The summary of the [0, 1] data at path, or None after saying why not."""
+    state = RunningSample()
     try:
-        for x in _observations(path):
-            if not 0.0 <= x <= 1.0:
-                raise ValueError(f"observation {x!r} outside [0, 1]")
-            n += 1
-            total += x
-            total_sq += x * x
-        if n == 0:
+        source(_observations(path))(state, sys.maxsize, "bounded")
+        if state.n == 0:
             raise ValueError("empty stream")
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
-    return RunningSample(n, total, total_sq).summary()
+    return state.summary()
 
 
 def _cmd_ci(args) -> int:
@@ -265,8 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=list(RULES) + ["ci"],
                    help="a RULES key (A-F or mv) or ci")
     p.add_argument("--dist", default="bernoulli",
-                   choices=["bernoulli", "scaled-beta", "discrete",
-                            "geometric", "poisson"])
+                   choices=list(_DIST_FLAGS))
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--alpha", type=float, default=2.0)
     p.add_argument("--beta", type=float, default=5.0)

@@ -3,11 +3,12 @@
 Rules A-F compare a divergence kernel of the running sample mean against
 a per-stage threshold ln(b_l / 2) / m_l and stop at the first stage
 where the inequality holds; ``mv`` tests an interval.  ``RULES`` maps
-each rule key to its target family, error kind, per-stage test and
-terminal claim.  A rule looks at the data only at the stage sizes m_l,
-and there only through the running sums (n, sum x, sum x^2), so the
-engine reads its stream through a ``source`` that folds it into those
-sums up to the next m_l.
+each rule key to its target family, error kind, per-stage test,
+terminal claim and planner, and ``SUPPORT`` each family to its support.
+A rule looks at the data only at the stage sizes m_l, and there only
+through the running sums (n, sum x, sum x^2), so the engine reads its
+stream through a ``source`` that folds it into those sums up to the next
+m_l.
 """
 
 import json
@@ -16,11 +17,12 @@ import sys
 from dataclasses import dataclass, field
 from itertools import islice
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional, Tuple
 
 from . import kernels
 from .fixed_ci import SampleSummary, lower_limit, upper_limit
-from .schedules import STAGE_SCAN_FACTOR, StageSchedule
+from .schedules import (STAGE_SCAN_FACTOR, StageSchedule, plan_bounded_abs,
+                        plan_geometric_mean, plan_mv, plan_unbounded)
 
 __all__ = [
     "EstimationGoal",
@@ -28,12 +30,30 @@ __all__ = [
     "StopDecision",
     "RuleSpec",
     "RULES",
+    "SUPPORT",
+    "check_support",
     "feed",
     "source",
     "stop_stage",
     "run_to_stop",
     "STAGE_SCAN_FACTOR",
 ]
+
+
+# each family's support: the x with lo <= x <= hi, whole numbers only if
+# whole, and what an observation outside it is called
+SUPPORT: Mapping[str, Tuple[float, float, bool, str]] = MappingProxyType({
+    "bounded": (0.0, 1.0, False, "outside [0, 1]"),
+    "geometric": (1.0, sys.float_info.max, True, "not a positive integer"),
+    "poisson": (0.0, sys.float_info.max, True, "not a nonnegative integer"),
+})
+
+
+def check_support(x: float, parameter: str) -> None:
+    """Raise ValueError unless x lies in the family's ``SUPPORT``."""
+    lo, hi, whole, what = SUPPORT[parameter]
+    if not lo <= x <= hi or whole and x != int(x):
+        raise ValueError(f"observation {x!r} {what}")
 
 
 @dataclass(frozen=True)
@@ -46,7 +66,7 @@ class EstimationGoal:
     delta: float
 
     def __post_init__(self) -> None:
-        if self.parameter not in ("bounded", "geometric", "poisson"):
+        if self.parameter not in SUPPORT:
             raise ValueError(f"unknown parameter kind {self.parameter!r}")
         if self.error not in ("abs", "rel"):
             raise ValueError(f"unknown error kind {self.error!r}")
@@ -62,15 +82,7 @@ class EstimationGoal:
             raise ValueError("geometric-mean estimation needs epsilon < 1")
 
     def validate_observation(self, x: float) -> None:
-        if self.parameter == "bounded":
-            if not 0.0 <= x <= 1.0:
-                raise ValueError(f"observation {x!r} outside [0, 1]")
-        elif self.parameter == "geometric":
-            if not 1.0 <= x < math.inf or x != int(x):
-                raise ValueError(f"observation {x!r} not a positive integer")
-        else:
-            if not 0.0 <= x < math.inf or x != int(x):
-                raise ValueError(f"observation {x!r} not a nonnegative integer")
+        check_support(x, self.parameter)
 
 
 @dataclass
@@ -121,15 +133,8 @@ class StopDecision:
     truncated: bool = field(default=False)
 
     def to_dict(self) -> dict:
-        doc = {
-            "status": self.status,
-            "n": self.n,
-            "stage": self.stage,
-            "estimate": self.estimate,
-            "rule": self.rule,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-        }
+        doc = {key: getattr(self, key) for key in (
+            "status", "n", "stage", "estimate", "rule", "epsilon", "delta")}
         if self.truncated:
             doc["truncated"] = True
         return doc
@@ -139,11 +144,10 @@ class StopDecision:
 
 
 def source(stream: Iterable[float]) -> Callable[
-        [RunningSample, int, EstimationGoal], None]:
-    """How the engine reads stream: ``fold(state, n, goal)`` folds the
-    next observations into state until state.n == n, or fewer if the
-    stream ends, checking each against the goal's support as ``feed``
-    does.
+        [RunningSample, int, str], None]:
+    """How the engine reads stream: ``fold(state, n, parameter)`` folds
+    the next observations into state until state.n == n, or fewer if the
+    stream ends, checking each against the family's ``SUPPORT``.
 
     A stream with a ``fold_to`` method (the block draws of
     ``sim.generate``) folds itself.  Any other iterable is read one
@@ -155,16 +159,13 @@ def source(stream: Iterable[float]) -> Callable[
         return fold
     it = iter(stream)
 
-    def fold(state: RunningSample, n: int, goal: EstimationGoal) -> None:
-        # the support test inline: a value it passes lies in the goal's
-        # support, and validate_observation has the last word on the rest
-        bounded = goal.parameter == "bounded"
-        lo = 1.0 if goal.parameter == "geometric" else 0.0
-        hi = 1.0 if bounded else sys.float_info.max
+    def fold(state: RunningSample, n: int, parameter: str) -> None:
+        # check_support's test, inline; check_support raises on what fails
+        lo, hi, whole, _ = SUPPORT[parameter]
         count, total, total_sq = state.n, state.total, state.total_sq
         for x in islice(it, n - count):
-            if not lo <= x <= hi or (not bounded and x != int(x)):
-                goal.validate_observation(x)
+            if not lo <= x <= hi or whole and x != int(x):
+                check_support(x, parameter)
             count += 1
             total += x
             total_sq += x * x
@@ -189,12 +190,16 @@ def _cond_b(xbar: float, n: int, m: int, eps: float, delta: float, s: int) -> bo
     return lhs >= rhs
 
 
-def _cond_c(xbar: float, n: int, m: int, eps: float, thr: float) -> bool:
-    if xbar <= 0.0:
-        return False
-    theta = xbar / (1.0 + eps)
-    z = theta * (1.0 + n * eps / max(n, m))
-    return kernels.mb(z, theta) <= thr
+def _cond_rel(kernel: str):
+    """Rules C (kernel "mb") and F ("mp"): relative error.  The kernel is
+    looked up in ``kernels`` at each call, where a tracer may wrap it."""
+    def cond(xbar: float, n: int, m: int, eps: float, thr: float) -> bool:
+        if xbar <= 0.0:
+            return False
+        theta = xbar / (1.0 + eps)
+        z = theta * (1.0 + n * eps / max(n, m))
+        return getattr(kernels, kernel)(z, theta) <= thr
+    return cond
 
 
 def _cond_d(xbar: float, n: int, m: int, eps: float, thr: float) -> bool:
@@ -206,14 +211,6 @@ def _cond_d(xbar: float, n: int, m: int, eps: float, thr: float) -> bool:
 def _cond_e(xbar: float, n: int, m: int, eps: float, thr: float) -> bool:
     z = xbar + eps - n * eps / max(n, m)
     return kernels.mp(z, xbar + eps) <= thr
-
-
-def _cond_f(xbar: float, n: int, m: int, eps: float, thr: float) -> bool:
-    if xbar <= 0.0:
-        return False
-    theta = xbar / (1.0 + eps)
-    z = theta * (1.0 + n * eps / max(n, m))
-    return kernels.mp(z, theta) <= thr
 
 
 def _abs_claim(estimate: float, truth: float, eps: float) -> bool:
@@ -272,31 +269,51 @@ def _test_mv(state, m, budget, threshold, goal, schedule):
         (xbar + eps >= 1.0 or upper_limit(summary, budget) <= xbar + eps)
 
 
+def _finite(planner, *rule):
+    """A finite planner, which reads none of the unbounded flags."""
+    return lambda epsilon, delta, stages, **_: planner(epsilon, delta,
+                                                       stages, *rule)
+
+
+def _unbounded(rule: str):
+    """``plan_unbounded``, which reads every flag but stages."""
+    return lambda stages, **flags: plan_unbounded(rule=rule, **flags)
+
+
 @dataclass(frozen=True)
 class RuleSpec:
     """What a rule key means: ``test(state, m_l, b_l, t_l, goal,
     schedule)`` is its stage-l inequality on the running sums, with
-    t_l = ln(b_l / 2) / m_l from the schedule's table, and
+    t_l = ln(b_l / 2) / m_l from the schedule's table,
     ``claim(estimate, truth, epsilon)`` the error claim a stopped run
-    makes."""
+    makes, and ``plan(epsilon=, delta=, stages=, m1=, ratio=, decay=,
+    cap=)`` its default schedule."""
 
     parameter: str
     error: str
     test: Callable[..., bool]
     claim: Callable[[float, float, float], bool]
+    plan: Callable[..., StageSchedule]
 
     def goal(self, epsilon: float, delta: float) -> EstimationGoal:
         return EstimationGoal(self.parameter, self.error, epsilon, delta)
 
 
 RULES: Mapping[str, RuleSpec] = MappingProxyType({
-    "A": RuleSpec("bounded", "abs", _kernel_test(_cond_a), _abs_claim),
-    "B": RuleSpec("bounded", "abs", _test_b, _abs_claim),
-    "C": RuleSpec("bounded", "rel", _kernel_test(_cond_c), _rel_claim),
-    "D": RuleSpec("geometric", "rel", _kernel_test(_cond_d), _ratio_claim),
-    "E": RuleSpec("poisson", "abs", _kernel_test(_cond_e), _abs_claim),
-    "F": RuleSpec("poisson", "rel", _kernel_test(_cond_f), _rel_claim),
-    "mv": RuleSpec("bounded", "abs", _test_mv, _abs_claim),
+    "A": RuleSpec("bounded", "abs", _kernel_test(_cond_a), _abs_claim,
+                  _finite(plan_bounded_abs, "A")),
+    "B": RuleSpec("bounded", "abs", _test_b, _abs_claim,
+                  _finite(plan_bounded_abs, "B")),
+    "C": RuleSpec("bounded", "rel", _kernel_test(_cond_rel("mb")),
+                  _rel_claim, _unbounded("C")),
+    "D": RuleSpec("geometric", "rel", _kernel_test(_cond_d), _ratio_claim,
+                  _finite(plan_geometric_mean)),
+    "E": RuleSpec("poisson", "abs", _kernel_test(_cond_e), _abs_claim,
+                  _unbounded("E")),
+    "F": RuleSpec("poisson", "rel", _kernel_test(_cond_rel("mp")),
+                  _rel_claim, _unbounded("F")),
+    "mv": RuleSpec("bounded", "abs", _test_mv, _abs_claim,
+                   _finite(plan_mv)),
 })
 
 
@@ -353,7 +370,7 @@ def run_to_stop(stream: Iterable[float], rule: str, schedule: StageSchedule,
                             truncated=status == "cap-reached")
 
     for m, _, _ in schedule.table:
-        fold(state, min(m, cap), goal)
+        fold(state, min(m, cap), goal.parameter)
         if state.n == m:
             ell = stop_stage(rule, state, schedule, goal)
             if ell is not None:

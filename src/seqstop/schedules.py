@@ -14,6 +14,7 @@ __all__ = [
     "StageSchedule",
     "plan_bounded_abs",
     "plan_geometric_mean",
+    "plan_mv",
     "plan_unbounded",
     "DEFAULT_CAP",
     "MAX_STAGES",
@@ -130,14 +131,6 @@ class StageSchedule:
         object.__setattr__(self, "_check_sizes",
                            frozenset(m for m, _, _ in table))
 
-    # -- stage access ------------------------------------------------------
-
-    def stage(self, ell: int) -> Tuple[int, float]:
-        """(m_l, b_l) for 1-based stage index ell."""
-        if ell < 1:
-            raise ValueError("stage index is 1-based")
-        return self.table[ell - 1][:2]
-
     def in_check_set(self, n: int) -> bool:
         return n in self._check_sizes
 
@@ -206,6 +199,24 @@ def plan_bounded_abs(epsilon: float, delta: float, s: int, rule: str = "A") -> S
         m1 = math.ceil((24.0 * epsilon - 16.0 * epsilon * epsilon) / 9.0
                        * log_term / (2.0 * epsilon * epsilon))
     return _finite_schedule(epsilon, delta, s, rule, m1, ms)
+
+
+def plan_mv(epsilon: float, delta: float, s: int) -> StageSchedule:
+    """Rule mv: rule A's stage sizes, with budgets d/(2s) before the
+    last stage and d/s at it.
+
+    Stages 1..s-1 test the variance-aware interval at level 1 - d/(2s);
+    the last stage certifies with Hoeffding's bound, as
+    2 exp(-2 m_s e^2) <= d/s at m_s = ceil(ln(2s/d) / (2 e^2)).  By the
+    union bound (see ``rules._test_mv``) a stopped run's claim fails with
+    probability at most (s - 1) d/(2s) + d/s = (s + 1) d/(2s) <= d.
+    Testing the interval at the last stage too would spend d/2 + d/s,
+    above d at s = 1.
+    """
+    stages = plan_bounded_abs(epsilon, delta, s, "A").stages
+    budgets = (delta / (2.0 * s),) * (len(stages) - 1) + (delta / s,)
+    return StageSchedule(epsilon=epsilon, delta=delta, s=s, rule="mv",
+                         stages=stages, budgets=budgets)
 
 
 def plan_geometric_mean(epsilon: float, delta: float, s: int) -> StageSchedule:

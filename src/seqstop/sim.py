@@ -19,13 +19,15 @@ numpy counterparts may differ in the last bit, and stay scalar.
 
 import json
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 # perfbench wraps run_to_stop, run_mv and ci_mean where this module binds
 # them, so all three stay bound; mv runs go through run_to_stop
 from .fixed_ci import ci_mean
-from .rules import RULES, EstimationGoal, RunningSample, run_to_stop, source
+from .rules import (RULES, SUPPORT, EstimationGoal, RunningSample,
+                    check_support, run_to_stop, source)
 from .schedules import StageSchedule
 from .seq_mv import run_mv  # noqa: F401
 
@@ -195,8 +197,7 @@ class _BlockStream:
         self._left -= 1
         return _draw(self._rng, self._spec)
 
-    def fold_to(self, state: RunningSample, n: int,
-                goal: EstimationGoal) -> None:
+    def fold_to(self, state: RunningSample, n: int, parameter: str) -> None:
         """``rules.source``'s fold: state, which holds this stream's first
         state.n draws, is moved on to its first n (fewer at its end).
 
@@ -208,13 +209,14 @@ class _BlockStream:
         """
         import numpy as np
 
+        lo, hi, whole, _ = SUPPORT[parameter]
         while state.n < n and (state.n < self._end or self._next_block(n)):
             i, j = state.n - self._start, min(n, self._end) - self._start
             values = self._values[i:j]
-            if goal.parameter != "bounded" or values.min() < 0.0 or \
-                    values.max() > 1.0:
+            # a NaN fails both comparisons, as min and max propagate it
+            if whole or not (lo <= values.min() and values.max() <= hi):
                 for x in values.tolist():
-                    goal.validate_observation(float(x))
+                    check_support(float(x), parameter)
             state.n = self._start + j
             if self._order is None:
                 ones = int(np.count_nonzero(values))
@@ -287,17 +289,10 @@ class CoverageReport:
     spec_params: Dict[str, object]
 
     def to_json(self) -> str:
-        return json.dumps({
-            "procedure": self.procedure,
-            "replications": self.replications,
-            "coverage": self.coverage,
-            "mean_n": self.mean_n,
-            "n_quantiles": self.n_quantiles,
-            "cap_hits": self.cap_hits,
-            "no_inclusion": self.no_inclusion,
-            "seed": self.seed,
-            "spec": {"kind": self.spec_kind, "params": self.spec_params},
-        })
+        doc = asdict(self)
+        doc["spec"] = {"kind": doc.pop("spec_kind"),
+                       "params": doc.pop("spec_params")}
+        return json.dumps(doc)
 
 
 def _quantile(sorted_ns: List[int], q: float) -> int:
@@ -329,7 +324,7 @@ def coverage_chunk(procedure: str, spec: DistributionSpec,
         if procedure == "ci":
             state = RunningSample()
             source(generate(spec, fixed_n, replication=r))(state, fixed_n,
-                                                           goal)
+                                                           goal.parameter)
             interval = ci_mean(state.summary(), goal.delta)
             ns.append(fixed_n)
             if interval.lower <= truth <= interval.upper:
@@ -381,7 +376,8 @@ def coverage_experiment(procedure: str, spec: DistributionSpec,
                         goal: Optional[EstimationGoal] = None,
                         schedule: Optional[StageSchedule] = None,
                         reps: int = 1000,
-                        fixed_n: Optional[int] = None) -> CoverageReport:
+                        fixed_n: Optional[int] = None,
+                        workers: int = 1) -> CoverageReport:
     """Monte Carlo estimate of the terminal-claim coverage.
 
     procedure is a ``RULES`` key A..F or "mv" (needs a schedule; the goal
@@ -389,7 +385,25 @@ def coverage_experiment(procedure: str, spec: DistributionSpec,
     (needs goal + fixed_n).  Only ``stopped`` runs whose claim holds
     count as covered: cap hits, no-inclusion and exhausted runs count as
     coverage failures.
+
+    workers > 1 splits the replications into that many contiguous ranges,
+    each a ``coverage_chunk`` in its own process, when there are at least
+    two per worker; 0 means one worker per CPU.  The report is the same
+    for every split.
     """
-    chunk = coverage_chunk(procedure, spec, goal=goal, schedule=schedule,
-                           reps=reps, fixed_n=fixed_n)
-    return report_from_chunks(procedure, spec, reps, [chunk])
+    workers = workers or os.cpu_count() or 1
+    if workers <= 1 or reps < 2 * workers:
+        chunks = [coverage_chunk(procedure, spec, goal, schedule, reps, 0,
+                                 fixed_n)]
+    else:
+        # imported only here: it loads multiprocessing, which one process
+        # does not need
+        from concurrent.futures import ProcessPoolExecutor
+
+        cuts = [reps * i // workers for i in range(workers + 1)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(coverage_chunk, procedure, spec, goal,
+                                   schedule, end - start, start, fixed_n)
+                       for start, end in zip(cuts, cuts[1:])]
+            chunks = [f.result() for f in futures]
+    return report_from_chunks(procedure, spec, reps, chunks)

@@ -173,7 +173,7 @@ def oracle_sequence_limits(state: RunningSample, schedule: StageSchedule,
     upper limit is the matching supremum.  Both are found by bisection,
     the divergence being monotone in the candidate value.
     """
-    m, budget = schedule.stage(ell)
+    m, budget, _ = schedule.table[ell - 1]
     threshold = math.log(budget / 2.0) / m
     n = state.n
     xbar = state.mean

@@ -17,8 +17,7 @@ from seqstop.kernels import mb, mb_massart, mg, mp, phi, psi, varphi
 from seqstop.rules import (EstimationGoal, RunningSample, _cond_a, _cond_d,
                            _cond_e, run_to_stop)
 from seqstop.schedules import (plan_bounded_abs, plan_geometric_mean,
-                               plan_unbounded)
-from seqstop.seq_mv import plan_mv
+                               plan_mv, plan_unbounded)
 from seqstop.sim import (DistributionSpec, coverage_chunk,
                          coverage_experiment, generate)
 

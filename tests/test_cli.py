@@ -114,6 +114,21 @@ def test_simulate_workers_do_not_change_result(capsys):
     assert serial == parallel
 
 
+def test_simulate_ci_does_not_check_the_epsilon_it_ignores(capsys):
+    base = ("simulate", "--procedure", "ci", "--fixed-n", "10", "--reps", "5")
+    code, wide, err = run_cli(capsys, *base, "--epsilon", "0.6")
+    assert (code, err) == (0, "")
+    assert wide == run_cli(capsys, *base, "--epsilon", "0.1")[1]
+
+
+@pytest.mark.parametrize("procedure", ["A", "B", "mv"])
+def test_simulate_bounded_abs_rules_reject_epsilon_half(capsys, procedure):
+    code, out, err = run_cli(capsys, "simulate", "--procedure", procedure,
+                             "--epsilon", "0.6", "--reps", "5")
+    assert (code, out) == (2, "")
+    assert "epsilon < 1/2" in err
+
+
 def test_simulate_zero_reps(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--reps", "0")
     assert code == 0

@@ -1,10 +1,12 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
+from seqstop import sim
 from seqstop.rules import (EstimationGoal, RunningSample, StopDecision, feed,
-                           run_to_stop, stop_stage)
+                           run_to_stop, source, stop_stage)
 from seqstop.schedules import plan_bounded_abs, plan_geometric_mean, \
     plan_unbounded
 from seqstop.sim import DistributionSpec, generate
@@ -204,6 +206,46 @@ def test_engine_edges_match_per_observation_loop(rule, goal, schedule,
                                                  stream):
     assert run_to_stop(iter(stream), rule, schedule, goal) == \
         reference_run_to_stop(iter(stream), rule, schedule, goal)
+
+
+def _support_verdict(check, x):
+    """None if check accepts x, else the message it raises."""
+    try:
+        check(x)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _block_fold(x, parameter):
+    """``_BlockStream.fold_to`` over a block that holds x alone."""
+    stream = sim._BlockStream(DistributionSpec("bernoulli", {"p": 0.5}), 1,
+                              sim.Rng(0), None)
+
+    def next_block(n):
+        stream._values, stream._left, stream._end = np.array([x]), 0, 1
+        return True
+    stream._next_block = next_block
+    stream.fold_to(RunningSample(), 1, parameter)
+
+
+@pytest.mark.parametrize("parameter, error, accepted", [
+    ("bounded", "abs", {0.0, 0.5, 1.0}),
+    ("geometric", "rel", {1.0, 2.0, 1e308}),
+    ("poisson", "abs", {0.0, 1.0, 2.0, 1e308}),
+])
+def test_support_checks_give_one_answer(parameter, error, accepted):
+    # validate_observation, the plain fold of source and the block fold
+    # accept the same values and reject the rest with the same message
+    goal = EstimationGoal(parameter, error, 0.2, 0.05)
+    for x in (0.0, -0.0, 0.5, 1.0, 2.0, 2.5, 1e308, math.inf, -math.inf,
+              math.nan):
+        verdicts = {_support_verdict(check, x) for check in (
+            goal.validate_observation,
+            lambda x: source(iter([x]))(RunningSample(), 1, parameter),
+            lambda x: _block_fold(x, parameter))}
+        assert len(verdicts) == 1, (x, verdicts)
+        assert (verdicts == {None}) == (x in accepted), x
 
 
 @pytest.mark.parametrize("bad", [2.0, -1e-300, math.nan, math.inf])

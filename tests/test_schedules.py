@@ -7,7 +7,7 @@ from seqstop.cli import main
 from seqstop.rules import RULES
 from seqstop.schedules import (DEFAULT_CAP, MAX_STAGES, STAGE_SCAN_FACTOR,
                                StageSchedule, plan_bounded_abs,
-                               plan_geometric_mean, plan_unbounded)
+                               plan_geometric_mean, plan_mv, plan_unbounded)
 
 
 def test_bounded_abs_rule_a_example():
@@ -83,6 +83,21 @@ def test_every_planned_document_loads(capsys, rule):
             StageSchedule.from_json(capsys.readouterr().out)
 
 
+@pytest.mark.parametrize("rule, expected", [
+    ("A", plan_bounded_abs(0.2, 0.1, 3, "A")),
+    ("B", plan_bounded_abs(0.2, 0.1, 3, "B")),
+    ("C", plan_unbounded(0.1, 40, 1.5, 0.25, 0.2, "C", 10 ** 5)),
+    ("D", plan_geometric_mean(0.2, 0.1, 3)),
+    ("E", plan_unbounded(0.1, 40, 1.5, 0.25, 0.2, "E", 10 ** 5)),
+    ("F", plan_unbounded(0.1, 40, 1.5, 0.25, 0.2, "F", 10 ** 5)),
+    ("mv", plan_mv(0.2, 0.1, 3)),
+])
+def test_rule_letter_picks_its_planner(rule, expected):
+    planned = RULES[rule].plan(epsilon=0.2, delta=0.1, stages=3, m1=40,
+                               ratio=1.5, decay=0.25, cap=10 ** 5)
+    assert planned == expected and planned.rule == rule
+
+
 def test_final_stage_meets_lower_bound():
     for eps, delta, s in [(0.1, 0.05, 5), (0.05, 0.1, 3), (0.2, 0.01, 7)]:
         sched = plan_bounded_abs(eps, delta, s, "A")
@@ -97,8 +112,8 @@ def test_geometric_interpolation_ratios_are_even():
 
 def test_unbounded_generator_example():
     sched = plan_unbounded(0.05, 50, ratio=2.0, decay=0.5)
-    ms = [sched.stage(ell)[0] for ell in (1, 2, 3)]
-    bs = [sched.stage(ell)[1] for ell in (1, 2, 3)]
+    ms = [m for m, _, _ in sched.table[:3]]
+    bs = [b for _, b, _ in sched.table[:3]]
     assert ms == [50, 100, 200]
     assert bs[0] == pytest.approx(0.025)
     assert bs[1] == pytest.approx(0.0125)
@@ -106,14 +121,14 @@ def test_unbounded_generator_example():
 
 def test_unbounded_budgets_sum_below_delta():
     sched = plan_unbounded(0.05, 50)
-    total = sum(sched.stage(ell)[1] for ell in range(1, 21))
+    total = sum(b for _, b, _ in sched.table[:20])
     assert total <= 0.05 + 1e-15
 
 
 def test_unbounded_threshold_ratio_shrinks():
     sched = plan_unbounded(0.05, 50)
     def ratio(ell):
-        m, b = sched.stage(ell)
+        m, b, _ = sched.table[ell - 1]
         return abs(math.log(b) / m)
     assert ratio(10) < ratio(1)
 
@@ -200,8 +215,8 @@ def test_unbounded_check_set_agrees_with_stage_table():
     sched = StageSchedule(epsilon=0.1, delta=0.05, s=2, rule="C",
                           stages=(50, 120), budgets=(0.02, 0.01),
                           unbounded=True, cap=10 ** 4)
-    sizes = {sched.stage(ell)[0] for ell in range(1, 12)}
-    assert sched.stage(2) == (120, 0.01)
+    sizes = {m for m, _, _ in sched.table[:11]}
+    assert sched.table[1][:2] == (120, 0.01)
     for n in range(1, 5000):
         assert sched.in_check_set(n) == (n in sizes), n
 
@@ -216,13 +231,12 @@ def test_unbounded_table_matches_lazy_recurrence(kwargs):
     m, ell = 50, 1
     while True:
         b = sched.delta * (1.0 - sched.decay) * sched.decay ** (ell - 1)
-        assert sched.stage(ell) == (m, b)
+        assert sched.table[ell - 1][:2] == (m, b)
         if m >= limit:
             break
         m = max(m + 1, math.ceil(m * sched.ratio))
         ell += 1
-    with pytest.raises(IndexError):
-        sched.stage(ell + 1)
+    assert len(sched.table) == ell
 
 
 def test_ratio_close_to_one_within_stage_limit():

@@ -10,8 +10,8 @@ from seqstop import rules, sim
 from seqstop.cli import main
 from seqstop.fixed_ci import SampleSummary, ci_mean
 from seqstop.rules import RULES, RunningSample, run_to_stop
-from seqstop.schedules import StageSchedule
-from seqstop.seq_mv import plan_mv, run_mv
+from seqstop.schedules import StageSchedule, plan_bounded_abs, plan_mv
+from seqstop.seq_mv import run_mv
 from seqstop.sim import (DistributionSpec, coverage_chunk, generate,
                          report_from_chunks)
 
@@ -74,12 +74,16 @@ def test_never_reads_past_last_stage():
             assert decision.status == "stopped"
 
 
-def test_exact_bernoulli_coverage():
+@pytest.mark.parametrize("rule, plan", [
+    ("mv", plan_mv(0.1, 0.05, 5)),
+    ("A", plan_bounded_abs(0.1, 0.05, 5, "A")),
+    ("B", plan_bounded_abs(0.1, 0.05, 5, "B")),
+], ids=["mv", "A", "B"])
+def test_exact_bernoulli_coverage(rule, plan):
     # every run is certified: coverage counts stopped runs only, and no
     # mass is left at the last stage
     ps = np.arange(1, 1000) / 1000
-    covered, no_inclusion = exact_bernoulli_outcomes(
-        "mv", plan_mv(0.1, 0.05, 5), ps)
+    covered, no_inclusion = exact_bernoulli_outcomes(rule, plan, ps)
     assert covered.min() >= 1.0 - 0.05
     assert not no_inclusion.any()
 
@@ -126,7 +130,7 @@ def test_inclusion_reevaluates_at_stop():
         var = sum((x - mean) ** 2 for x in xs) / len(xs)
         interval = ci_mean(SampleSummary(n=len(xs), mean=mean,
                                          var=min(var, 0.25)),
-                           plan.stage(decision.stage)[1])
+                           plan.table[decision.stage - 1][1])
         assert mean - plan.epsilon <= interval.lower
         assert interval.upper <= mean + plan.epsilon
     assert early > 0

@@ -7,8 +7,7 @@ from seqstop import sim
 from seqstop.rules import RULES, EstimationGoal, RunningSample, feed, \
     run_to_stop
 from seqstop.schedules import plan_bounded_abs, plan_geometric_mean, \
-    plan_unbounded
-from seqstop.seq_mv import plan_mv
+    plan_mv, plan_unbounded
 from seqstop.sim import (CoverageReport, DistributionSpec, Rng,
                          coverage_chunk, coverage_experiment, generate,
                          report_from_chunks)
@@ -205,12 +204,12 @@ def test_block_draws_match_scalar_draws(kind, params, count):
                    if n <= count + 5)
     state = RunningSample()
     for n in stops:
-        stream.fold_to(state, n, GOAL_BOUNDED)
+        stream.fold_to(state, n, GOAL_BOUNDED.parameter)
         assert (state.n, state.total, state.total_sq) == \
             sums[min(n, count) - 1], n
     jump = generate(spec, count, 4)
     state = RunningSample()
-    jump.fold_to(state, count, GOAL_BOUNDED)
+    jump.fold_to(state, count, GOAL_BOUNDED.parameter)
     assert (state.n, state.total, state.total_sq) == sums[-1]
 
 
@@ -222,10 +221,10 @@ def test_block_draws_are_checked_against_the_goal():
     draws = list(generate(spec, 500))
     first_zero = draws.index(0.0)
     stream, state = generate(spec, 500), RunningSample()
-    stream.fold_to(state, first_zero, goal)
+    stream.fold_to(state, first_zero, goal.parameter)
     assert state.n == first_zero
     with pytest.raises(ValueError, match="positive integer"):
-        stream.fold_to(state, first_zero + 1, goal)
+        stream.fold_to(state, first_zero + 1, goal.parameter)
 
 
 def _engine_cases():
