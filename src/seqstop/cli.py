@@ -17,7 +17,8 @@ from typing import Iterator, List, Optional
 
 from . import schedules, sim
 from .fixed_ci import SampleSummary, ci_mean, region_boundary
-from .rules import RULES, EstimationGoal, RunningSample, run_to_stop, source
+from .rules import (RULES, EstimationGoal, RunningSample, rule_for,
+                    run_to_stop, source)
 from .schedules import StageSchedule
 
 USAGE_ERROR = 2
@@ -95,11 +96,10 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    goal = RULES[args.rule].goal(args.epsilon, args.delta)
     sched = _build_schedule(args, args.rule)
+    rule_for(sched)  # a plan the rule cannot take is a usage error
     try:
-        decision = run_to_stop(_observations(args.input), args.rule, sched,
-                               goal)
+        decision = run_to_stop(_observations(args.input), sched)
     except OSError as exc:
         print(f"error: cannot read stream: {exc}", file=sys.stderr)
         return DATA_ERROR
@@ -139,8 +139,7 @@ def _cmd_simulate(args) -> int:
         goal = EstimationGoal("bounded", "abs", 0.25, args.delta)
         sched = None
     else:
-        goal = RULES[args.procedure].goal(args.epsilon, args.delta)
-        sched = _build_schedule(args, args.procedure)
+        goal, sched = None, _build_schedule(args, args.procedure)
     report = sim.coverage_experiment(args.procedure, spec, goal, sched,
                                      args.reps, args.fixed_n, args.workers)
     print(_json_12sig(report.to_json()))

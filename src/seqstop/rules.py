@@ -3,12 +3,11 @@
 Rules A-F compare a divergence kernel of the running sample mean against
 a per-stage threshold ln(b_l / 2) / m_l and stop at the first stage
 where the inequality holds; ``mv`` tests an interval.  ``RULES`` maps
-each rule key to its target family, error kind, per-stage test,
-terminal claim and planner, and ``SUPPORT`` each family to its support.
-A rule looks at the data only at the stage sizes m_l, and there only
-through the running sums (n, sum x, sum x^2), so the engine reads its
-stream through a ``source`` that folds it into those sums up to the next
-m_l.
+each rule key to its family, error kind, test, claim and planner, and
+``SUPPORT`` each family to its support.  The engine's one plan input is
+a ``StageSchedule``, whose rule, epsilon, delta and budgets go together.
+A rule reads the data only at the stage sizes m_l, through the running
+sums (n, sum x, sum x^2), which the engine's ``source`` folds up to m_l.
 """
 
 import json
@@ -32,6 +31,7 @@ __all__ = [
     "RULES",
     "SUPPORT",
     "check_support",
+    "rule_for",
     "feed",
     "source",
     "stop_stage",
@@ -81,9 +81,6 @@ class EstimationGoal:
         if self.parameter == "geometric" and self.epsilon >= 1.0:
             raise ValueError("geometric-mean estimation needs epsilon < 1")
 
-    def validate_observation(self, x: float) -> None:
-        check_support(x, self.parameter)
-
 
 @dataclass
 class RunningSample:
@@ -111,7 +108,7 @@ class RunningSample:
 
 def feed(state: RunningSample, x: float, goal: EstimationGoal) -> RunningSample:
     """Validate x against the goal's support and fold it into state."""
-    goal.validate_observation(x)
+    check_support(x, goal.parameter)
     state.n += 1
     state.total += x
     state.total_sq += x * x
@@ -228,20 +225,20 @@ def _ratio_claim(estimate: float, truth: float, eps: float) -> bool:
 def _kernel_test(cond):
     """Per-stage test comparing a kernel against ln(b_l / 2) / m_l."""
     # runs for every stage scanned: the mean is taken inline
-    def test(state, m, budget, threshold, goal, schedule):
+    def test(state, m, budget, threshold, schedule):
         n = state.n
-        return cond(state.total / n, n, m, goal.epsilon, threshold)
+        return cond(state.total / n, n, m, schedule.epsilon, threshold)
     return test
 
 
-def _test_b(state, m, budget, threshold, goal, schedule):
+def _test_b(state, m, budget, threshold, schedule):
     """Rule B's quadratic surrogate uses ln(2s/delta), not the threshold."""
     n = state.n
-    return _cond_b(state.total / n, n, m, goal.epsilon, goal.delta,
+    return _cond_b(state.total / n, n, m, schedule.epsilon, schedule.delta,
                    schedule.s)
 
 
-def _test_mv(state, m, budget, threshold, goal, schedule):
+def _test_mv(state, m, budget, threshold, schedule):
     """The multistage estimator's test at n = m_l only, as ``stop_stage``
     scans every stage.
 
@@ -259,7 +256,7 @@ def _test_mv(state, m, budget, threshold, goal, schedule):
     """
     if m != state.n:
         return False
-    eps = goal.epsilon
+    eps = schedule.epsilon
     if m == schedule.table[-1][0]:
         return -2.0 * eps * eps <= threshold
     summary = state.summary()
@@ -282,9 +279,9 @@ def _unbounded(rule: str):
 
 @dataclass(frozen=True)
 class RuleSpec:
-    """What a rule key means: ``test(state, m_l, b_l, t_l, goal,
-    schedule)`` is its stage-l inequality on the running sums, with
-    t_l = ln(b_l / 2) / m_l from the schedule's table,
+    """What a rule key means: ``test(state, m_l, b_l, t_l, schedule)`` is
+    its stage-l inequality on the running sums, with t_l = ln(b_l / 2) /
+    m_l from the table of the schedule, which also gives epsilon,
     ``claim(estimate, truth, epsilon)`` the error claim a stopped run
     makes, and ``plan(epsilon=, delta=, stages=, m1=, ratio=, decay=,
     cap=)`` its default schedule."""
@@ -294,9 +291,6 @@ class RuleSpec:
     test: Callable[..., bool]
     claim: Callable[[float, float, float], bool]
     plan: Callable[..., StageSchedule]
-
-    def goal(self, epsilon: float, delta: float) -> EstimationGoal:
-        return EstimationGoal(self.parameter, self.error, epsilon, delta)
 
 
 RULES: Mapping[str, RuleSpec] = MappingProxyType({
@@ -317,47 +311,47 @@ RULES: Mapping[str, RuleSpec] = MappingProxyType({
 })
 
 
-def _rule_spec(rule: str, goal: EstimationGoal) -> RuleSpec:
-    """The rule's spec, after checking that the goal is of its family."""
-    spec = RULES.get(rule)
-    if spec is None or (spec.parameter, spec.error) != (goal.parameter,
-                                                         goal.error):
-        raise ValueError(f"rule {rule!r} does not estimate a "
-                         f"{goal.parameter} mean with {goal.error} error")
+def rule_for(schedule: StageSchedule) -> RuleSpec:
+    """The ``RULES`` entry of schedule.rule, once ``EstimationGoal`` takes
+    its family at the schedule's epsilon and delta; else ValueError."""
+    spec = RULES.get(schedule.rule)
+    if spec is None:
+        raise ValueError(f"unknown rule {schedule.rule!r}")
+    EstimationGoal(spec.parameter, spec.error, schedule.epsilon,
+                   schedule.delta)
     return spec
 
 
-def stop_stage(rule: str, state: RunningSample, schedule: StageSchedule,
-               goal: EstimationGoal) -> Optional[int]:
-    """Smallest stage index at which the rule's inequality holds, else None.
+def stop_stage(state: RunningSample, schedule: StageSchedule) -> Optional[int]:
+    """Smallest stage index at which the schedule's rule holds, else None.
 
     Finite rules scan all s stages; unbounded rules scan until
     m_l >= n * STAGE_SCAN_FACTOR.
     """
-    test = _rule_spec(rule, goal).test
+    test = RULES[schedule.rule].test
     if state.n == 0:
         return None
     n = state.n
     for ell, (m, budget, threshold) in enumerate(schedule.table, 1):
         if schedule.unbounded and m >= n * STAGE_SCAN_FACTOR and ell > 1:
             return None
-        if test(state, m, budget, threshold, goal, schedule):
+        if test(state, m, budget, threshold, schedule):
             return ell
     return None
 
 
-def run_to_stop(stream: Iterable[float], rule: str, schedule: StageSchedule,
-                goal: EstimationGoal) -> StopDecision:
-    """Consume observations until the rule fires, the cap is hit, the last
-    stage of a finite schedule passes without firing (``no-inclusion``),
-    or the stream runs out.
+def run_to_stop(stream: Iterable[float],
+                schedule: StageSchedule) -> StopDecision:
+    """Consume observations until the schedule's rule fires, the cap is
+    hit, the last stage of a finite schedule passes without firing
+    (``no-inclusion``), or the stream runs out.
 
-    The run walks the stage table: it folds the stream up to each m_l
-    (or up to the cap, if that comes first) through ``source`` and
-    decides there.  Rules decide only at stage sizes, so this is the
-    decision a check after every observation would reach.
+    After ``rule_for`` checks the plan, before any read, the run folds
+    the stream up to each stage size m_l (or the cap, if that comes
+    first) through ``source`` and decides there.  Rules decide only at
+    stage sizes, so a check after every observation would decide alike.
     """
-    _rule_spec(rule, goal)
+    parameter = rule_for(schedule).parameter
     state = RunningSample()
     fold = source(stream)
     cap = max(schedule.cap, 1) if schedule.unbounded else math.inf
@@ -365,14 +359,14 @@ def run_to_stop(stream: Iterable[float], rule: str, schedule: StageSchedule,
     def decide(status: str, stage: Optional[int] = None) -> StopDecision:
         return StopDecision(status=status, n=state.n, stage=stage,
                             estimate=state.mean if state.n else None,
-                            rule=rule, epsilon=goal.epsilon,
-                            delta=goal.delta,
+                            rule=schedule.rule, epsilon=schedule.epsilon,
+                            delta=schedule.delta,
                             truncated=status == "cap-reached")
 
     for m, _, _ in schedule.table:
-        fold(state, min(m, cap), goal.parameter)
+        fold(state, min(m, cap), parameter)
         if state.n == m:
-            ell = stop_stage(rule, state, schedule, goal)
+            ell = stop_stage(state, schedule)
             if ell is not None:
                 return decide("stopped", ell)
         if state.n >= cap:

@@ -182,7 +182,7 @@ def plan_bounded_abs(epsilon: float, delta: float, s: int, rule: str = "A") -> S
     interpolate geometrically.
     """
     if not 0.0 < epsilon < 0.5:
-        raise ValueError("epsilon must lie in (0, 1/2)")
+        raise ValueError("absolute error needs 0 < epsilon < 1/2")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     if s < 1:

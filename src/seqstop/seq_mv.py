@@ -4,14 +4,13 @@
 
 from typing import Iterable
 
-from .rules import RULES, StopDecision, run_to_stop
+from .rules import StopDecision, run_to_stop
 from .schedules import StageSchedule, plan_mv
 
 __all__ = ["plan_mv", "run_mv"]
 
 
 def run_mv(stream: Iterable[float], schedule: StageSchedule) -> StopDecision:
-    """``run_to_stop`` under rule ``mv``; kept as the name perfbench's
-    tracer wraps."""
-    return run_to_stop(stream, "mv", schedule,
-                       RULES["mv"].goal(schedule.epsilon, schedule.delta))
+    """``run_to_stop`` on a ``plan_mv`` schedule, whose rule is ``mv``;
+    kept as the name perfbench's tracer wraps."""
+    return run_to_stop(stream, schedule)

@@ -27,7 +27,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 # them, so all three stay bound; mv runs go through run_to_stop
 from .fixed_ci import ci_mean
 from .rules import (RULES, SUPPORT, EstimationGoal, RunningSample,
-                    check_support, run_to_stop, source)
+                    check_support, rule_for, run_to_stop, source)
 from .schedules import StageSchedule
 from .seq_mv import run_mv  # noqa: F401
 
@@ -312,13 +312,20 @@ def coverage_chunk(procedure: str, spec: DistributionSpec,
     replications rep_offset .. rep_offset + reps - 1.  Replication
     indices fix the stream seeds, so splitting the range over workers
     changes nothing in the merged result.  ``plan``, which perfbench
-    passes for ``mv``, is another name for ``schedule``."""
+    passes for ``mv``, is another name for ``schedule``.  A rule runs
+    only the schedule planned for it: ValueError if procedure or goal
+    (compared field by field, not built again) disagrees with it."""
     schedule = schedule or plan
-    goal = goal or RULES[procedure].goal(schedule.epsilon, schedule.delta)
+    if procedure != "ci":
+        rule = RULES.get(procedure) if goal else rule_for(schedule)
+        planned = rule and (rule.parameter, rule.error, schedule.epsilon,
+                            schedule.delta)
+        if procedure != schedule.rule or goal and planned != (
+                goal.parameter, goal.error, goal.epsilon, goal.delta):
+            raise ValueError(f"procedure {procedure!r}, goal {goal}: the "
+                             f"schedule plans {schedule.rule!r} {planned}")
     truth = spec.true_value()
-    covered = 0
-    cap_hits = 0
-    no_inclusion = 0
+    covered = cap_hits = no_inclusion = 0
     ns: List[int] = []
     for r in range(rep_offset, rep_offset + reps):
         if procedure == "ci":
@@ -327,19 +334,18 @@ def coverage_chunk(procedure: str, spec: DistributionSpec,
                                                            goal.parameter)
             interval = ci_mean(state.summary(), goal.delta)
             ns.append(fixed_n)
-            if interval.lower <= truth <= interval.upper:
-                covered += 1
+            covered += interval.lower <= truth <= interval.upper
             continue
         count = schedule.cap if schedule.unbounded else schedule.stages[-1]
         decision = run_to_stop(generate(spec, count, replication=r),
-                               procedure, schedule, goal)
+                               schedule)
         ns.append(decision.n)
         if decision.status == "cap-reached":
             cap_hits += 1
         elif decision.status == "no-inclusion":
             no_inclusion += 1
-        elif decision.status == "stopped" and RULES[procedure].claim(
-                decision.estimate, truth, goal.epsilon):
+        elif decision.status == "stopped" and rule.claim(
+                decision.estimate, truth, schedule.epsilon):
             covered += 1
     return covered, cap_hits, no_inclusion, ns
 
@@ -380,8 +386,8 @@ def coverage_experiment(procedure: str, spec: DistributionSpec,
                         workers: int = 1) -> CoverageReport:
     """Monte Carlo estimate of the terminal-claim coverage.
 
-    procedure is a ``RULES`` key A..F or "mv" (needs a schedule; the goal
-    defaults to the rule's at the schedule's epsilon and delta), or "ci"
+    procedure is a ``RULES`` key A..F or "mv", run on the schedule planned
+    for it with its epsilon and delta (see ``coverage_chunk``), or "ci"
     (needs goal + fixed_n).  Only ``stopped`` runs whose claim holds
     count as covered: cap hits, no-inclusion and exhausted runs count as
     coverage failures.

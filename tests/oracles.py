@@ -10,7 +10,7 @@ from scipy.stats import binom
 from seqstop import kernels
 from seqstop.fixed_ci import BISECT_TOL, SampleSummary, _phi_ext, ci_mean
 from seqstop.rules import (RULES, EstimationGoal, RunningSample,
-                           StopDecision, feed, stop_stage)
+                           StopDecision, check_support, stop_stage)
 from seqstop.schedules import StageSchedule
 
 
@@ -129,15 +129,14 @@ def reference_phi_crossing(w: float, c: float, threshold: float) -> float:
 
 
 def reference_mv_test(state: RunningSample, m: int, budget: float,
-                      threshold: float, goal: EstimationGoal,
-                      schedule: StageSchedule) -> bool:
+                      threshold: float, schedule: StageSchedule) -> bool:
     """Rule mv's stage test on the whole interval: ``ci_mean`` at level
     1 - b_l within eps of the mean before the last stage, Hoeffding's
     bound at it.  ``RULES["mv"].test`` sweeps only the limits its
     decision needs and must decide alike."""
     if m != state.n:
         return False
-    eps = goal.epsilon
+    eps = schedule.epsilon
     if m == schedule.table[-1][0]:
         return -2.0 * eps * eps <= threshold
     interval = ci_mean(state.summary(), budget)
@@ -231,11 +230,10 @@ def oracle_sequence_limits(state: RunningSample, schedule: StageSchedule,
 
 # -- exact outcome probabilities for Bernoulli streams ---------------------
 
-def exact_bernoulli_outcomes(rule: str, schedule: StageSchedule,
-                             ps: Sequence[float]
+def exact_bernoulli_outcomes(schedule: StageSchedule, ps: Sequence[float]
                              ) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact certified coverage and no-inclusion probability of a rule on
-    a finite schedule, for Bernoulli(p) streams at each p in ps.
+    """Exact certified coverage and no-inclusion probability of a finite
+    schedule under its rule, for Bernoulli(p) streams at each p in ps.
 
     After n Bernoulli draws the running sums are (n, k, k) exactly, k the
     number of ones, so the decision at stage size m_l is a table over k,
@@ -245,8 +243,7 @@ def exact_bernoulli_outcomes(rule: str, schedule: StageSchedule,
     mass left after the last stage ends ``no-inclusion``.  The rule's
     claim must take numpy arrays, as the absolute and relative ones do.
     """
-    spec = RULES[rule]
-    goal = spec.goal(schedule.epsilon, schedule.delta)
+    spec = RULES[schedule.rule]
     ps = np.asarray(ps, dtype=float)
     covered = np.zeros(len(ps))
     going = np.ones((len(ps), 1))  # P(k ones, not stopped) at n = 0
@@ -257,10 +254,11 @@ def exact_bernoulli_outcomes(rule: str, schedule: StageSchedule,
         for j in range(m - n + 1):
             grown[:, j:j + n + 1] += going * step[:, j:j + 1]
         stops = np.array([
-            any(spec.test(RunningSample(m, float(k), float(k)), *row, goal,
+            any(spec.test(RunningSample(m, float(k), float(k)), *row,
                           schedule) for row in schedule.table)
             for k in range(m + 1)])
-        claims = spec.claim(np.arange(m + 1) / m, ps[:, None], goal.epsilon)
+        claims = spec.claim(np.arange(m + 1) / m, ps[:, None],
+                            schedule.epsilon)
         covered += (grown * (stops & claims)).sum(axis=1)
         going, n = np.where(stops, 0.0, grown), m
     return covered, going.sum(axis=1)
@@ -268,25 +266,28 @@ def exact_bernoulli_outcomes(rule: str, schedule: StageSchedule,
 
 # -- per-observation reference for the stopping engine ---------------------
 
-def reference_run_to_stop(stream, rule: str, schedule: StageSchedule,
-                          goal: EstimationGoal) -> StopDecision:
-    """The engine as one loop over the observations: ``feed`` each one,
-    decide wherever n is a stage size, stop at the cap.  ``run_to_stop``
-    folds the stream up to each stage size instead and must decide alike.
-    """
+def reference_run_to_stop(stream, schedule: StageSchedule) -> StopDecision:
+    """The engine as one loop over the observations: check and add each
+    one, decide wherever n is a stage size, stop at the cap.
+    ``run_to_stop`` folds the stream up to each stage size instead and
+    must decide alike."""
+    parameter = RULES[schedule.rule].parameter
     state = RunningSample()
 
     def decide(status, stage=None):
         return StopDecision(status=status, n=state.n, stage=stage,
                             estimate=state.mean if state.n else None,
-                            rule=rule, epsilon=goal.epsilon,
-                            delta=goal.delta,
+                            rule=schedule.rule, epsilon=schedule.epsilon,
+                            delta=schedule.delta,
                             truncated=status == "cap-reached")
 
     for x in stream:
-        feed(state, x, goal)
+        check_support(x, parameter)
+        state.n += 1
+        state.total += x
+        state.total_sq += x * x
         if schedule.in_check_set(state.n):
-            ell = stop_stage(rule, state, schedule, goal)
+            ell = stop_stage(state, schedule)
             if ell is not None:
                 return decide("stopped", ell)
             if not schedule.unbounded and state.n == schedule.table[-1][0]:

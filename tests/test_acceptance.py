@@ -5,6 +5,7 @@ in the terminal summary) and then asserts the criterion.  Statistical
 criteria use fixed seeds, so reruns are byte-for-byte reproducible.
 """
 
+import dataclasses
 import math
 import random
 
@@ -164,14 +165,16 @@ def test_criterion_3_massart_dominance_and_ordering():
             worst = max(worst, mb(z, th) - mb_massart(z, th))
     dominated = worst <= 1e-12
 
+    # rules A and B on the same stages: rule A's, whose budgets are the
+    # delta / s rule B needs
     sched = plan_bounded_abs(0.1, 0.05, 5, "A")
-    goal = EstimationGoal("bounded", "abs", 0.1, 0.05)
+    sched_b = dataclasses.replace(sched, rule="B")
     spec = DistributionSpec("bernoulli", {"p": 0.3}, seed=303)
     ordered = True
     for rep in range(500):
         draws = list(generate(spec, 265, rep))
-        da = run_to_stop(iter(draws), "A", sched, goal)
-        db = run_to_stop(iter(draws), "B", sched, goal)
+        da = run_to_stop(iter(draws), sched)
+        db = run_to_stop(iter(draws), sched_b)
         na = da.n if da.status == "stopped" else float("inf")
         nb = db.n if db.status == "stopped" else float("inf")
         if na > nb:

@@ -363,6 +363,33 @@ def test_schedule_file_matching_flags_runs(capsys, tmp_path):
     assert json.loads(out)["n"] == 29
 
 
+@pytest.mark.parametrize("flags", [
+    ["--rule", "C", "--epsilon", "0"],
+    ["--rule", "F", "--epsilon", "1.5"],
+    ["--rule", "E", "--epsilon", "inf"],
+])
+def test_run_refuses_a_plan_the_rule_cannot_take(capsys, tmp_path, flags):
+    # plan_unbounded takes any epsilon; the run refuses it before reading,
+    # so a missing input is not reached and the exit is a usage error
+    missing = str(tmp_path / "missing.txt")
+    code, out, err = run_cli(capsys, "run", *flags, "--input", missing)
+    assert (code, out) == (2, "") and "epsilon" in err
+    assert "cannot read stream" not in err
+
+
+def test_run_uses_the_epsilon_of_its_schedule_file(capsys, tmp_path):
+    # a hand-written rule-A file at epsilon 0.7: its table is valid, but
+    # rule A cannot take its epsilon, and the run says so before reading
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"epsilon": 0.7, "delta": 0.05, "s": 1,
+                                "rule": "A", "stages": [60],
+                                "budgets": [0.05]}))
+    code, out, err = run_cli(capsys, "run", "--rule", "A", "--epsilon",
+                             "0.7", "--schedule", str(path), "--input",
+                             str(tmp_path / "missing.txt"))
+    assert (code, out) == (2, "") and "epsilon < 1/2" in err
+
+
 def test_ci_where_the_scan_probes_within_rounding_of_the_mean(capsys,
                                                              tmp_path):
     # 1646 ones in 7143: the lower scan meets nu whose 1 - nu rounds

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -5,8 +6,9 @@ import numpy as np
 import pytest
 
 from seqstop import sim
-from seqstop.rules import (EstimationGoal, RunningSample, StopDecision, feed,
-                           run_to_stop, source, stop_stage)
+from seqstop.rules import (EstimationGoal, RunningSample, StopDecision,
+                           check_support, feed, run_to_stop, source,
+                           stop_stage)
 from seqstop.schedules import plan_bounded_abs, plan_geometric_mean, \
     plan_unbounded
 from seqstop.sim import DistributionSpec, generate
@@ -58,7 +60,7 @@ def test_goal_validation():
 
 def test_constant_ones_stream_stops_at_first_stage():
     sched = plan_bounded_abs(0.1, 0.05, 5, "A")
-    decision = run_to_stop(itertools.repeat(1.0, 300), "A", sched, GOAL_ABS)
+    decision = run_to_stop(itertools.repeat(1.0, 300), sched)
     assert decision.status == "stopped"
     assert decision.n == 51
     assert decision.stage == 1
@@ -69,7 +71,7 @@ def test_finite_rules_stop_by_last_stage():
     sched = plan_bounded_abs(0.1, 0.05, 5, "A")
     spec = DistributionSpec("bernoulli", {"p": 0.5}, seed=21)
     for rep in range(20):
-        decision = run_to_stop(generate(spec, 265, rep), "A", sched, GOAL_ABS)
+        decision = run_to_stop(generate(spec, 265, rep), sched)
         assert decision.status == "stopped"
         assert decision.n <= 265
 
@@ -78,56 +80,54 @@ def test_rule_b_stops_by_last_stage():
     sched = plan_bounded_abs(0.1, 0.05, 5, "B")
     spec = DistributionSpec("bernoulli", {"p": 0.5}, seed=22)
     for rep in range(10):
-        decision = run_to_stop(generate(spec, 265, rep), "B", sched, GOAL_ABS)
+        decision = run_to_stop(generate(spec, 265, rep), sched)
         assert decision.status == "stopped"
 
 
 def test_rule_d_stops_by_last_stage():
     sched = plan_geometric_mean(0.2, 0.05, 5)
-    goal = EstimationGoal("geometric", "rel", 0.2, 0.05)
     spec = DistributionSpec("geometric", {"theta": 5.0}, seed=23)
     for rep in range(10):
-        decision = run_to_stop(generate(spec, sched.stages[-1], rep),
-                               "D", sched, goal)
+        decision = run_to_stop(generate(spec, sched.stages[-1], rep), sched)
         assert decision.status == "stopped"
 
 
 def test_rule_c_needs_positive_mean():
     sched = plan_unbounded(0.05, 50, rule="C", epsilon=0.2)
-    goal = EstimationGoal("bounded", "rel", 0.2, 0.05)
     st = RunningSample(n=200, total=0.0, total_sq=0.0)
-    assert stop_stage("C", st, sched, goal) is None
+    assert stop_stage(st, sched) is None
 
 
 def test_rule_f_needs_positive_mean():
     sched = plan_unbounded(0.05, 50, rule="F", epsilon=0.2)
-    goal = EstimationGoal("poisson", "rel", 0.2, 0.05)
     st = RunningSample(n=500, total=0.0, total_sq=0.0)
-    assert stop_stage("F", st, sched, goal) is None
+    assert stop_stage(st, sched) is None
 
 
 def test_determinism():
     sched = plan_bounded_abs(0.1, 0.05, 5, "A")
     spec = DistributionSpec("bernoulli", {"p": 0.3}, seed=4)
-    first = run_to_stop(generate(spec, 265, 0), "A", sched, GOAL_ABS)
-    second = run_to_stop(generate(spec, 265, 0), "A", sched, GOAL_ABS)
+    first = run_to_stop(generate(spec, 265, 0), sched)
+    second = run_to_stop(generate(spec, 265, 0), sched)
     assert first == second
 
 
 def test_rule_b_never_stops_earlier_than_rule_a():
+    # both rules on rule A's stages, whose budgets delta / s rule B takes
     sched = plan_bounded_abs(0.1, 0.05, 5, "A")
+    sched_b = dataclasses.replace(sched, rule="B")
     spec = DistributionSpec("bernoulli", {"p": 0.3}, seed=31)
     for rep in range(50):
         draws = list(generate(spec, 265, rep))
-        da = run_to_stop(iter(draws), "A", sched, GOAL_ABS)
-        db = run_to_stop(iter(draws), "B", sched, GOAL_ABS)
+        da = run_to_stop(iter(draws), sched)
+        db = run_to_stop(iter(draws), sched_b)
         assert da.status == "stopped"
         assert db.status != "stopped" or da.n <= db.n
 
 
 def test_empty_stream_exhausts():
     sched = plan_bounded_abs(0.1, 0.05, 5, "A")
-    decision = run_to_stop(iter([]), "A", sched, GOAL_ABS)
+    decision = run_to_stop(iter([]), sched)
     assert decision.status == "stream-exhausted"
     assert decision.n == 0
     assert decision.estimate is None
@@ -135,8 +135,7 @@ def test_empty_stream_exhausts():
 
 def test_cap_reached_flagged():
     sched = plan_unbounded(0.05, 1000, rule="E", epsilon=0.5, cap=30)
-    goal = EstimationGoal("poisson", "abs", 0.5, 0.05)
-    decision = run_to_stop(itertools.repeat(4.0, 100), "E", sched, goal)
+    decision = run_to_stop(itertools.repeat(4.0, 100), sched)
     assert decision.status == "cap-reached"
     assert decision.n == 30
     assert decision.truncated
@@ -144,9 +143,8 @@ def test_cap_reached_flagged():
 
 def test_unbounded_rule_eventually_stops():
     sched = plan_unbounded(0.05, 50, rule="E", epsilon=0.5, cap=10 ** 6)
-    goal = EstimationGoal("poisson", "abs", 0.5, 0.05)
     spec = DistributionSpec("poisson", {"lam": 4.0}, seed=77)
-    decision = run_to_stop(generate(spec, 10 ** 6, 0), "E", sched, goal)
+    decision = run_to_stop(generate(spec, 10 ** 6, 0), sched)
     assert decision.status == "stopped"
 
 
@@ -163,20 +161,40 @@ def test_decision_json_round_trips():
 def test_stopped_condition_reevaluates_true():
     sched = plan_bounded_abs(0.1, 0.05, 5, "A")
     spec = DistributionSpec("bernoulli", {"p": 0.5}, seed=9)
-    decision = run_to_stop(generate(spec, 265, 0), "A", sched, GOAL_ABS)
+    decision = run_to_stop(generate(spec, 265, 0), sched)
     st = RunningSample(n=decision.n, total=decision.estimate * decision.n,
                        total_sq=decision.estimate * decision.n)
-    assert stop_stage("A", st, sched, GOAL_ABS) == decision.stage
+    assert stop_stage(st, sched) == decision.stage
 
 
-def test_wrong_family_goal_is_rejected():
-    sched = plan_geometric_mean(0.2, 0.05, 5)
-    goal = EstimationGoal("bounded", "abs", 0.2, 0.05)
-    with pytest.raises(ValueError):
-        run_to_stop(iter([2.0] * 400), "D", sched, goal)
-    with pytest.raises(ValueError):
-        stop_stage("D", RunningSample(n=30, total=60.0, total_sq=120.0),
-                   sched, goal)
+class _CountedReads:
+    """An endless stream of 1.0 that counts the observations read."""
+
+    def __init__(self) -> None:
+        self.reads = 0
+
+    def __iter__(self) -> "_CountedReads":
+        return self
+
+    def __next__(self) -> float:
+        self.reads += 1
+        return 1.0
+
+
+@pytest.mark.parametrize("schedule, message", [
+    (dataclasses.replace(plan_bounded_abs(0.1, 0.05, 5, "A"), rule="Q"),
+     "unknown rule"),
+    # plan_unbounded's default epsilon, 0.0, which no rule can take
+    (plan_unbounded(0.05, 50), "epsilon"),
+    (plan_unbounded(0.05, 50, epsilon=1.5, rule="F"), "epsilon < 1"),
+    (dataclasses.replace(plan_bounded_abs(0.1, 0.05, 5, "A"),
+                         epsilon=0.6), "epsilon < 1/2"),
+])
+def test_run_to_stop_refuses_a_plan_before_reading(schedule, message):
+    stream = _CountedReads()
+    with pytest.raises(ValueError, match=message):
+        run_to_stop(stream, schedule)
+    assert stream.reads == 0
 
 
 @pytest.mark.parametrize("rule, goal, schedule, stream", [
@@ -204,8 +222,11 @@ def test_wrong_family_goal_is_rejected():
 ])
 def test_engine_edges_match_per_observation_loop(rule, goal, schedule,
                                                  stream):
-    assert run_to_stop(iter(stream), rule, schedule, goal) == \
-        reference_run_to_stop(iter(stream), rule, schedule, goal)
+    decision = run_to_stop(iter(stream), schedule)
+    assert decision == reference_run_to_stop(iter(stream), schedule)
+    # the decision names the plan it ran: the schedule's rule and goal
+    assert (decision.rule, decision.epsilon, decision.delta) == \
+        (rule, goal.epsilon, goal.delta)
 
 
 def _support_verdict(check, x):
@@ -235,13 +256,14 @@ def _block_fold(x, parameter):
     ("poisson", "abs", {0.0, 1.0, 2.0, 1e308}),
 ])
 def test_support_checks_give_one_answer(parameter, error, accepted):
-    # validate_observation, the plain fold of source and the block fold
+    # check_support, feed, the plain fold of source and the block fold
     # accept the same values and reject the rest with the same message
     goal = EstimationGoal(parameter, error, 0.2, 0.05)
     for x in (0.0, -0.0, 0.5, 1.0, 2.0, 2.5, 1e308, math.inf, -math.inf,
               math.nan):
         verdicts = {_support_verdict(check, x) for check in (
-            goal.validate_observation,
+            lambda x: check_support(x, parameter),
+            lambda x: feed(RunningSample(), x, goal),
             lambda x: source(iter([x]))(RunningSample(), 1, parameter),
             lambda x: _block_fold(x, parameter))}
         assert len(verdicts) == 1, (x, verdicts)
@@ -252,11 +274,9 @@ def test_support_checks_give_one_answer(parameter, error, accepted):
 def test_engine_checks_support_up_to_its_decision(bad):
     sched = plan_bounded_abs(0.1, 0.05, 5, "A")
     with pytest.raises(ValueError):
-        run_to_stop(iter([1.0] * 20 + [bad] + [1.0] * 40), "A", sched,
-                    GOAL_ABS)
-    decision = run_to_stop(iter([1.0] * 51 + [bad]), "A", sched, GOAL_ABS)
+        run_to_stop(iter([1.0] * 20 + [bad] + [1.0] * 40), sched)
+    decision = run_to_stop(iter([1.0] * 51 + [bad]), sched)
     assert (decision.status, decision.n) == ("stopped", 51)
-    goal = EstimationGoal("poisson", "abs", 0.5, 0.05)
     with pytest.raises(ValueError):
-        run_to_stop(iter([1.5]), "E", plan_unbounded(0.05, 50, rule="E",
-                                                     epsilon=0.5), goal)
+        run_to_stop(iter([1.5]), plan_unbounded(0.05, 50, rule="E",
+                                                epsilon=0.5))

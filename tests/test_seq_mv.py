@@ -74,16 +74,16 @@ def test_never_reads_past_last_stage():
             assert decision.status == "stopped"
 
 
-@pytest.mark.parametrize("rule, plan", [
-    ("mv", plan_mv(0.1, 0.05, 5)),
-    ("A", plan_bounded_abs(0.1, 0.05, 5, "A")),
-    ("B", plan_bounded_abs(0.1, 0.05, 5, "B")),
+@pytest.mark.parametrize("plan", [
+    plan_mv(0.1, 0.05, 5),
+    plan_bounded_abs(0.1, 0.05, 5, "A"),
+    plan_bounded_abs(0.1, 0.05, 5, "B"),
 ], ids=["mv", "A", "B"])
-def test_exact_bernoulli_coverage(rule, plan):
+def test_exact_bernoulli_coverage(plan):
     # every run is certified: coverage counts stopped runs only, and no
     # mass is left at the last stage
     ps = np.arange(1, 1000) / 1000
-    covered, no_inclusion = exact_bernoulli_outcomes(rule, plan, ps)
+    covered, no_inclusion = exact_bernoulli_outcomes(plan, ps)
     assert covered.min() >= 1.0 - 0.05
     assert not no_inclusion.any()
 
@@ -109,10 +109,9 @@ def test_stream_exhaustion():
 def test_run_mv_is_run_to_stop():
     plan = plan_mv(0.1, 0.05, 5)
     spec = DistributionSpec("bernoulli", {"p": 0.1}, seed=3)
-    goal = RULES["mv"].goal(0.1, 0.05)
     for rep in range(5):
         assert run_mv(generate(spec, 265, rep), plan) == \
-            run_to_stop(generate(spec, 265, rep), "mv", plan, goal)
+            run_to_stop(generate(spec, 265, rep), plan)
 
 
 def test_inclusion_reevaluates_at_stop():
@@ -169,8 +168,7 @@ def _mv_states():
 def test_mv_test_decides_as_the_whole_interval():
     kinds = collections.Counter()
     for plan, row, state in _mv_states():
-        goal = RULES["mv"].goal(plan.epsilon, plan.delta)
-        decided = RULES["mv"].test(state, *row, goal, plan)
+        decided = RULES["mv"].test(state, *row, plan)
         xbar, eps = state.mean, plan.epsilon
         ci = ci_mean(state.summary(), row[1])
         assert decided == (xbar - eps <= ci.lower and ci.upper <= xbar + eps)
@@ -187,12 +185,11 @@ def test_mv_test_decides_as_the_whole_interval():
 def test_mv_test_refuses_a_budget_outside_the_unit_interval(budget):
     plan = plan_mv(0.1, 0.05, 5)
     m = plan.table[0][0]
-    goal = RULES["mv"].goal(plan.epsilon, plan.delta)
     # mean 0 sweeps only the upper limit, mean 1 only the lower
     for k in (0, m // 2, m):
         with pytest.raises(ValueError, match="delta"):
             RULES["mv"].test(RunningSample(m, float(k), float(k)), m, budget,
-                             0.0, goal, plan)
+                             0.0, plan)
 
 
 @pytest.mark.parametrize("kind, params", [
@@ -221,8 +218,6 @@ def test_coverage_chunk_mv_decides_as_the_whole_interval(monkeypatch, kind,
     monkeypatch.setattr(rules, "RULES", {
         **RULES, "mv": dataclasses.replace(RULES["mv"],
                                            test=reference_mv_test)})
-    goal = RULES["mv"].goal(plan.epsilon, plan.delta)
     for r, decision in enumerate(decisions[:reps]):
         draws = list(generate(spec, plan.stages[-1], replication=r))
-        assert decision == reference_run_to_stop(iter(draws), "mv", plan,
-                                                 goal)
+        assert decision == reference_run_to_stop(iter(draws), plan)

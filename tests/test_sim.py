@@ -1,9 +1,10 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
-from seqstop import sim
+from seqstop import rules, sim
 from seqstop.rules import RULES, EstimationGoal, RunningSample, feed, \
     run_to_stop
 from seqstop.schedules import plan_bounded_abs, plan_geometric_mean, \
@@ -254,7 +255,8 @@ def _engine_cases():
 def test_coverage_chunk_decides_as_the_scalar_engine(monkeypatch, rule,
                                                      dist, schedule):
     spec = DistributionSpec(dist["kind"], dist["params"], seed=71)
-    goal = RULES[rule].goal(schedule.epsilon, schedule.delta)
+    goal = EstimationGoal(RULES[rule].parameter, RULES[rule].error,
+                          schedule.epsilon, schedule.delta)
     decisions = []
 
     def recording(*args):
@@ -273,9 +275,8 @@ def test_coverage_chunk_decides_as_the_scalar_engine(monkeypatch, rule,
     statuses = set()
     for r, decision in enumerate(decisions[:reps]):
         draws = list(generate(spec, count, replication=r))
-        assert decision == run_to_stop(iter(draws), rule, schedule, goal)
-        assert decision == reference_run_to_stop(iter(draws), rule,
-                                                 schedule, goal)
+        assert decision == run_to_stop(iter(draws), schedule)
+        assert decision == reference_run_to_stop(iter(draws), schedule)
         statuses.add(decision.status)
     assert "stopped" in statuses
 
@@ -306,3 +307,62 @@ def test_coverage_chunk_ci_sums_as_feed_does(monkeypatch, kind, params):
         for x in list(generate(spec, 60, replication=r)):
             feed(state, x, GOAL_BOUNDED)
         assert summary == state.summary()
+
+
+# rule A's five stages with budgets delta / 5 under s = 1: rule B's test
+# would take ln(2 s / delta) = ln(2 / delta) at each stage, so a union
+# bound over the five would need 5 delta
+_A_FIVE_STAGES_S1 = dataclasses.replace(plan_bounded_abs(0.1, 0.05, 5, "A"),
+                                        s=1)
+
+
+@pytest.mark.parametrize("procedure, goal, schedule", [
+    ("B", None, _A_FIVE_STAGES_S1),
+    ("B", GOAL_BOUNDED, _A_FIVE_STAGES_S1),
+    ("A", None, plan_bounded_abs(0.1, 0.05, 5, "B")),
+    ("mv", None, plan_bounded_abs(0.1, 0.05, 5, "A")),
+    # goals other than the rule's family at the schedule's eps and delta
+    ("A", EstimationGoal("bounded", "abs", 0.2, 0.05),
+     plan_bounded_abs(0.1, 0.05, 5, "A")),
+    ("A", EstimationGoal("bounded", "abs", 0.1, 0.01),
+     plan_bounded_abs(0.1, 0.05, 5, "A")),
+    ("A", EstimationGoal("bounded", "rel", 0.1, 0.05),
+     plan_bounded_abs(0.1, 0.05, 5, "A")),
+    ("Q", GOAL_BOUNDED,
+     dataclasses.replace(plan_bounded_abs(0.1, 0.05, 5, "A"), rule="Q")),
+    # plan_unbounded's default epsilon, 0.0, which rule C cannot take
+    ("C", None, plan_unbounded(0.05, 50)),
+], ids=["B-on-A-s1", "B-on-A-s1-goal", "A-on-B", "mv-on-A", "goal-eps",
+        "goal-delta", "goal-error", "unknown-rule", "eps-zero"])
+def test_coverage_refuses_a_plan_for_another_rule_or_goal(procedure, goal,
+                                                           schedule):
+    spec = DistributionSpec("bernoulli", {"p": 0.3}, seed=81)
+    with pytest.raises(ValueError):
+        coverage_chunk(procedure, spec, goal, schedule, reps=0)
+    with pytest.raises(ValueError):
+        coverage_experiment(procedure, spec, goal, schedule, reps=10)
+
+
+def test_rule_b_refuses_the_a_labelled_s1_table():
+    with pytest.raises(ValueError, match="delta / s"):
+        dataclasses.replace(_A_FIVE_STAGES_S1, rule="B")
+    assert dataclasses.replace(_A_FIVE_STAGES_S1, s=5, rule="B").s == 5
+
+
+def test_coverage_claims_at_the_schedule_epsilon(monkeypatch):
+    # a goal equal to the schedule's runs as no goal does
+    spec = DistributionSpec("bernoulli", {"p": 0.3}, seed=82)
+    sched = plan_bounded_abs(0.1, 0.05, 5, "A")
+    claims = []
+
+    def claim(estimate, truth, eps):
+        claims.append(eps)
+        return abs(estimate - truth) < eps
+
+    patched = {**RULES, "A": dataclasses.replace(RULES["A"], claim=claim)}
+    monkeypatch.setattr(sim, "RULES", patched)
+    monkeypatch.setattr(rules, "RULES", patched)
+    with_goal = coverage_chunk("A", spec, GOAL_BOUNDED, sched, reps=30)
+    assert coverage_chunk("A", spec, None, sched, reps=30) == with_goal
+    assert len(claims) == 60  # rule A stops every run, twice over
+    assert set(claims) == {sched.epsilon}
