@@ -17,8 +17,7 @@ from typing import Iterator, List, Optional
 
 from . import schedules, sim
 from .fixed_ci import SampleSummary, ci_mean, region_boundary
-from .rules import (RULES, EstimationGoal, RunningSample, rule_for,
-                    run_to_stop, source)
+from .rules import RULES, EstimationGoal, RunningSample, run_to_stop, source
 from .schedules import StageSchedule
 
 USAGE_ERROR = 2
@@ -97,7 +96,6 @@ def _cmd_plan(args) -> int:
 
 def _cmd_run(args) -> int:
     sched = _build_schedule(args, args.rule)
-    rule_for(sched)  # a plan the rule cannot take is a usage error
     try:
         decision = run_to_stop(_observations(args.input), sched)
     except OSError as exc:

@@ -62,8 +62,12 @@ def mb_massart(z: float, theta: float) -> float:
 def mg(z: float, theta: float) -> float:
     """Geometric-mean divergence exponent; z is an empirical mean >= 1.
 
-    Both 1-z and 1-theta are <= 0 on the finite branch, so the log ratio
-    is taken on (z-1)/(theta-1).
+    The exponent z ln(z/theta) + (1-z) ln((z-1)/(theta-1)) is of order
+    (theta-z)^2 / z, while its two terms grow like z: at z = 1e14 they
+    cancel to a result with 25 % error, and from z = 1e16 to 0.  So it is
+    taken as ln(z/theta) + (z-1) ln w, the same exponent, with
+    w = z (theta-1) / (theta (z-1)) = 1 + u and u = (theta-z) / theta /
+    (z-1), where nothing large cancels.
     """
     if not 1.0 <= z < math.inf:
         raise ValueError(f"z must be finite and >= 1, got {z!r}")
@@ -71,15 +75,12 @@ def mg(z: float, theta: float) -> float:
         return NEG_INF
     if z == 1.0:
         return -math.log(theta)
-    r = (z - 1.0) / (theta - 1.0)
-    if 0.0 < r < math.inf:
-        value = z * math.log(z / theta) + (1.0 - z) * math.log(r)
-        if value == value:
-            return value
-    # r left the float range or the terms overflowed to inf - inf: the
-    # same exponent as z (ln(z / theta) - ln r) + ln r, with logs apart
-    log_r = math.log(z - 1.0) - math.log(theta - 1.0)
-    return z * (math.log(z) - math.log(theta) - log_r) + log_r
+    u = (theta - z) / theta / (z - 1.0)
+    # below -1/2, u has lost the leading digits of 1 + u, so w is taken
+    # from its factors, each within a few ulps
+    log_w = math.log1p(u) if u > -0.5 else \
+        math.log((theta - 1.0) / theta * (z / (z - 1.0)))
+    return math.log(z / theta) + (z - 1.0) * log_w
 
 
 def mp(z: float, theta: float) -> float:

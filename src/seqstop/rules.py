@@ -31,7 +31,6 @@ __all__ = [
     "RULES",
     "SUPPORT",
     "check_support",
-    "rule_for",
     "feed",
     "source",
     "stop_stage",
@@ -311,17 +310,6 @@ RULES: Mapping[str, RuleSpec] = MappingProxyType({
 })
 
 
-def rule_for(schedule: StageSchedule) -> RuleSpec:
-    """The ``RULES`` entry of schedule.rule, once ``EstimationGoal`` takes
-    its family at the schedule's epsilon and delta; else ValueError."""
-    spec = RULES.get(schedule.rule)
-    if spec is None:
-        raise ValueError(f"unknown rule {schedule.rule!r}")
-    EstimationGoal(spec.parameter, spec.error, schedule.epsilon,
-                   schedule.delta)
-    return spec
-
-
 def stop_stage(state: RunningSample, schedule: StageSchedule) -> Optional[int]:
     """Smallest stage index at which the schedule's rule holds, else None.
 
@@ -346,15 +334,15 @@ def run_to_stop(stream: Iterable[float],
     hit, the last stage of a finite schedule passes without firing
     (``no-inclusion``), or the stream runs out.
 
-    After ``rule_for`` checks the plan, before any read, the run folds
-    the stream up to each stage size m_l (or the cap, if that comes
-    first) through ``source`` and decides there.  Rules decide only at
-    stage sizes, so a check after every observation would decide alike.
+    The schedule was checked when it was built, so the run folds the
+    stream up to each stage size m_l (or the cap, if that comes first)
+    through ``source`` and decides there.  Rules decide only at stage
+    sizes, so a check after every observation would decide alike.
     """
-    parameter = rule_for(schedule).parameter
+    parameter = RULES[schedule.rule].parameter
     state = RunningSample()
     fold = source(stream)
-    cap = max(schedule.cap, 1) if schedule.unbounded else math.inf
+    cap = schedule.cap if schedule.unbounded else math.inf
 
     def decide(status: str, stage: Optional[int] = None) -> StopDecision:
         return StopDecision(status=status, n=state.n, stage=stage,

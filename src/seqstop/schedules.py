@@ -65,7 +65,8 @@ class StageSchedule:
     against; once b_l underflows to 0.0, t_l is taken from ln b_l in log
     space, so it stays finite.  Unbounded tables end at the first
     m_l >= cap * STAGE_SCAN_FACTOR, the last stage a run of at most
-    ``cap`` observations can scan.  Runs check at the m_l.
+    ``cap`` observations can scan.  Runs check at the m_l.  Every schedule
+    is checked here, where it is built, so no runner checks it again.
     """
 
     epsilon: float
@@ -82,10 +83,21 @@ class StageSchedule:
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if any(m <= 0 for m in self.stages):
-            raise ValueError("stage sizes must be positive")
+        # rules imports this module, so the import waits for a schedule
+        from .rules import RULES, EstimationGoal
+
+        spec = RULES.get(self.rule)
+        if spec is None:
+            raise ValueError(f"unknown rule {self.rule!r}")
+        EstimationGoal(spec.parameter, spec.error, self.epsilon, self.delta)
+        # type, not isinstance: JSON's 50.0 and true are no stage sizes
+        if not all(type(x) is int for x in (self.s, self.cap, *self.stages)):
+            raise ValueError("stage sizes, s and cap must be integers")
+        if not isinstance(self.unbounded, bool):
+            raise ValueError("unbounded must be true or false")
+        if not self.stages or min(self.stages) <= 0:
+            raise ValueError("a schedule needs one or more stage sizes, "
+                             "all positive")
         if any(b <= a for a, b in zip(self.stages, self.stages[1:])):
             raise ValueError("stage sizes must be strictly ascending")
         if len(self.budgets) != len(self.stages):
@@ -103,6 +115,8 @@ class StageSchedule:
         table = [(m, b, _threshold(m, b, math.log(b) - math.log(2.0)))
                  for m, b in zip(self.stages, self.budgets)]
         if self.unbounded:
+            if self.cap < 1:
+                raise ValueError(f"cap {self.cap!r} must be at least 1")
             if not 1.0 < self.ratio < math.inf:
                 raise ValueError("unbounded schedules need a finite ratio > 1")
             if not 0.0 < self.decay < 1.0:
@@ -152,6 +166,16 @@ class StageSchedule:
                    budgets=tuple(doc["budgets"]), **optional)
 
 
+def _ceil_quotient(num: float, den: float) -> int:
+    """ceil(num / den) as a stage size, where den > 0 is a power of
+    epsilon; ValueError where den rounds to 0 or the quotient to inf."""
+    quotient = num / den if den > 0.0 else math.inf
+    if quotient == math.inf:
+        raise ValueError("a stage size overflows a float: epsilon or delta "
+                         "is too small")
+    return math.ceil(quotient)
+
+
 def _finite_schedule(epsilon: float, delta: float, s: int, rule: str,
                      m1: int, ms: int) -> StageSchedule:
     """s stages geometric between m1 and ms (just ms if m1 >= ms), each
@@ -190,11 +214,11 @@ def plan_bounded_abs(epsilon: float, delta: float, s: int, rule: str = "A") -> S
     if rule not in ("A", "B"):
         raise ValueError("rule must be 'A' or 'B'")
     log_term = math.log(2.0 * s / delta)
-    ms = math.ceil(log_term / (2.0 * epsilon * epsilon))
+    ms = _ceil_quotient(log_term, 2.0 * epsilon * epsilon)
     if s == 1:
         m1 = ms
     elif rule == "A":
-        m1 = math.ceil(log_term / math.log(1.0 / (1.0 - epsilon)))
+        m1 = _ceil_quotient(log_term, math.log(1.0 / (1.0 - epsilon)))
     else:
         m1 = math.ceil((24.0 * epsilon - 16.0 * epsilon * epsilon) / 9.0
                        * log_term / (2.0 * epsilon * epsilon))
@@ -229,21 +253,20 @@ def plan_geometric_mean(epsilon: float, delta: float, s: int) -> StageSchedule:
         raise ValueError("s must be a positive integer")
     log_term = math.log(2.0 * s / delta)
     denom = (1.0 + epsilon) * math.log1p(epsilon) - epsilon
-    ms = math.ceil((1.0 + epsilon) * log_term / denom)
-    m1 = ms if s == 1 else math.ceil(log_term / math.log1p(epsilon))
+    ms = _ceil_quotient((1.0 + epsilon) * log_term, denom)
+    m1 = ms if s == 1 else _ceil_quotient(log_term, math.log1p(epsilon))
     return _finite_schedule(epsilon, delta, s, "D", m1, ms)
 
 
 def plan_unbounded(delta: float, m1: int, ratio: float = 2.0,
-                   decay: float = 0.5, epsilon: float = 0.0,
+                   decay: float = 0.5, *, epsilon: float,
                    rule: str = "C", cap: int = DEFAULT_CAP) -> StageSchedule:
     """Unbounded schedule: m_l geometric, budgets b_l = delta (1-q) q^(l-1).
 
     The budget series sums to delta and ln(b_l)/m_l -> 0 because ln b_l is
-    linear in l while m_l grows geometrically.
+    linear in l while m_l grows geometrically.  epsilon has no default,
+    as no rule can take one.
     """
-    if m1 < 1:
-        raise ValueError("m1 must be a positive integer")
     budgets = (delta * (1.0 - decay),)
     return StageSchedule(epsilon=epsilon, delta=delta, s=1, rule=rule,
                          stages=(m1,), budgets=budgets, unbounded=True,

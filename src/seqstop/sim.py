@@ -27,7 +27,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 # them, so all three stay bound; mv runs go through run_to_stop
 from .fixed_ci import ci_mean
 from .rules import (RULES, SUPPORT, EstimationGoal, RunningSample,
-                    check_support, rule_for, run_to_stop, source)
+                    check_support, run_to_stop, source)
 from .schedules import StageSchedule
 from .seq_mv import run_mv  # noqa: F401
 
@@ -46,6 +46,11 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 # uniforms per block of a block-drawn stream, which bounds its memory
 _BLOCK_UNIFORMS = 1 << 16
+
+# a geometric draw is at most about 37 theta (53 bits of uniform), and
+# DEFAULT_CAP = 1e7 draws of mean theta sum to about 1e7 theta, so the
+# running sums stay finite below this mean
+_MAX_THETA = 1e300
 
 
 def _mix(x: int) -> int:
@@ -101,8 +106,9 @@ class DistributionSpec:
             if abs(sum(probs) - 1.0) > 1e-12:
                 raise ValueError("probs must sum to 1")
         elif self.kind == "geometric":
-            if p["theta"] <= 1.0:
-                raise ValueError("mean theta must exceed 1")
+            if not 1.0 < p["theta"] <= _MAX_THETA:
+                raise ValueError(f"mean theta must lie in (1, {_MAX_THETA:g}]"
+                                 f", got {p['theta']!r}")
         else:
             if p["lam"] <= 0.0:
                 raise ValueError("lam must be positive")
@@ -317,9 +323,9 @@ def coverage_chunk(procedure: str, spec: DistributionSpec,
     (compared field by field, not built again) disagrees with it."""
     schedule = schedule or plan
     if procedure != "ci":
-        rule = RULES.get(procedure) if goal else rule_for(schedule)
-        planned = rule and (rule.parameter, rule.error, schedule.epsilon,
-                            schedule.delta)
+        rule = RULES[schedule.rule]
+        planned = (rule.parameter, rule.error, schedule.epsilon,
+                   schedule.delta)
         if procedure != schedule.rule or goal and planned != (
                 goal.parameter, goal.error, goal.epsilon, goal.delta):
             raise ValueError(f"procedure {procedure!r}, goal {goal}: the "

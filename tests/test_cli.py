@@ -590,3 +590,80 @@ def test_rule_b_schedule_must_split_delta_over_s(capsys, tmp_path):
                              str(path), "--input",
                              write_stream(tmp_path, [1.0] * 300))
     assert code == 2 and out == "" and "delta / s" in err
+
+
+def test_run_writes_a_cap_reached_decision_as_truncated(capsys, tmp_path):
+    path = write_stream(tmp_path, [4.0] * 99)
+    code, out, _ = run_cli(capsys, "run", "--rule", "E", "--epsilon", "0.01",
+                           "--cap", "5", "--input", path)
+    assert code == 0
+    assert json.loads(out) == {
+        "status": "cap-reached", "n": 5, "stage": None, "estimate": 4.0,
+        "rule": "E", "epsilon": 0.01, "delta": 0.05, "truncated": True}
+
+
+def test_simulate_parses_the_discrete_flags(capsys):
+    code, out, _ = run_cli(capsys, "simulate", "--dist", "discrete",
+                           "--support", "0,0.5,1", "--probs",
+                           "0.25,0.5,0.25", "--reps", "20")
+    assert code == 0
+    assert json.loads(out)["spec"] == {
+        "kind": "discrete",
+        "params": {"support": [0.0, 0.5, 1.0], "probs": [0.25, 0.5, 0.25]}}
+
+
+_SCHEDULE_DOCS = {
+    "C": {"epsilon": 0.2, "delta": 0.05, "s": 1, "rule": "C",
+          "stages": [50], "budgets": [0.025], "unbounded": True},
+    "A": {"epsilon": 0.1, "delta": 0.05, "s": 1, "rule": "A",
+          "stages": [185], "budgets": [0.05]},
+}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # planners whose stage sizes would overflow a float
+    *[([command, flag, rule, "--epsilon", eps], 2)
+      for command, flag in (("plan", "--rule"), ("run", "--rule"),
+                            ("simulate", "--procedure"))
+      for rule in ("A", "B", "D", "mv") for eps in ("1e-160", "1e-300")],
+    # plans no rule can run
+    (["plan", "--rule", "C", "--epsilon", "0"], 2),
+    (["plan", "--rule", "F", "--epsilon", "1.5"], 2),
+    (["plan", "--rule", "E", "--epsilon", "0.5", "--cap", "-3"], 2),
+    (["run", "--rule", "E", "--epsilon", "0.5", "--cap", "0"], 2),
+    (["simulate", "--procedure", "E", "--dist", "poisson", "--epsilon",
+      "0.5", "--cap", "0"], 2),
+    # geometric means whose draws or sums would overflow
+    *[(["simulate", "--procedure", "D", "--dist", "geometric", "--epsilon",
+        "0.2", "--theta", theta], 2) for theta in ("1e306", "1e307", "1e308")],
+    (["simulate", "--procedure", "D", "--dist", "geometric", "--epsilon",
+      "0.2", "--theta", "1e300"], 0),
+])
+def test_cli_inputs_end_in_an_exit_code(capsys, tmp_path, argv, expected):
+    if argv[0] == "run":
+        argv = argv + ["--input", write_stream(tmp_path, [1.0] * 400)]
+    elif argv[0] == "simulate":
+        argv = argv + ["--reps", "3"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == expected and code in (0, 2, 3), err
+    assert (out == "") == (code == 2)
+
+
+@pytest.mark.parametrize("rule, changes", [
+    (rule, changes) for rule in ("C", "A") for changes in (
+        {"cap": 1e3}, {"stages": [50.0]}, {"s": 1.5}, {"s": True},
+        {"unbounded": "yes"}, {"stages": [True]},
+        {"stages": [], "budgets": []})])
+@pytest.mark.parametrize("command", ["run", "simulate"])
+def test_schedule_files_with_wrong_types_exit_2(capsys, tmp_path, rule,
+                                                changes, command):
+    doc = {**_SCHEDULE_DOCS[rule], **changes}
+    path = tmp_path / "sched.json"
+    path.write_text(json.dumps(doc))
+    flag = "--rule" if command == "run" else "--procedure"
+    argv = [command, flag, rule, "--epsilon", str(doc["epsilon"]),
+            "--schedule", str(path)]
+    argv += (["--input", write_stream(tmp_path, [1.0] * 400)]
+             if command == "run" else ["--reps", "3"])
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and "bad observation" not in err

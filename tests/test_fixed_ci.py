@@ -154,6 +154,12 @@ def test_region_resolution_validation():
         region_boundary(s, 0.05, resolution=1)
 
 
+@pytest.mark.parametrize("delta", [0.0, 1.0, math.nan])
+def test_region_refuses_delta_outside_the_unit_interval(delta):
+    with pytest.raises(ValueError, match="delta"):
+        region_boundary(make_summary(80, 0.5, 0.2), delta)
+
+
 def test_scan_terminates_on_extreme_summaries():
     for mean, var in [(0.001, 0.0005), (0.999, 0.0005), (0.5, 0.25)]:
         s = make_summary(25, mean, var)

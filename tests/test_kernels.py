@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import example, given, settings
@@ -85,6 +86,33 @@ class TestGeometricKernel:
         assert mg(2.0, 0.5) == NEG_INF
         with pytest.raises(ValueError):
             mg(0.9, 2.0)
+
+    @staticmethod
+    def _exact(z, theta):
+        """mg's defining formula in 400-digit decimals, where the order-z
+        terms, up to 1e309, cancel without loss."""
+        with localcontext() as ctx:
+            ctx.prec = 400
+            z, theta = Decimal(z), Decimal(theta)
+            return float(z * (z / theta).ln() +
+                         (1 - z) * ((z - 1) / (theta - 1)).ln())
+
+    def test_matches_exact_arithmetic_up_to_huge_means(self):
+        # the two terms grow like z and cancel to a result of order 1:
+        # taken as written in floats, the error reached 1.0 here
+        rng = random.Random(29)
+        for _ in range(500):
+            z = 1.0 + 10 ** rng.uniform(-12, 307)
+            theta = 1.0 + 10 ** rng.uniform(-12, 307)
+            exact = self._exact(z, theta)
+            assert abs(mg(z, theta) - exact) <= \
+                1e-15 * max(1.0, abs(exact)), (z, theta)
+        # rule D's own arguments, theta = (1 + eps) z: relative error
+        for _ in range(300):
+            z = 10 ** rng.uniform(0.001, 300)
+            theta = (1.0 + rng.choice([0.01, 0.1, 0.2, 0.5])) * z
+            exact = self._exact(z, theta)
+            assert abs(mg(z, theta) - exact) <= 1e-11 * abs(exact), z
 
 
 class TestPoissonKernel:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -86,10 +87,13 @@ def test_every_planned_document_loads(capsys, rule):
 @pytest.mark.parametrize("rule, expected", [
     ("A", plan_bounded_abs(0.2, 0.1, 3, "A")),
     ("B", plan_bounded_abs(0.2, 0.1, 3, "B")),
-    ("C", plan_unbounded(0.1, 40, 1.5, 0.25, 0.2, "C", 10 ** 5)),
+    ("C", plan_unbounded(0.1, 40, 1.5, 0.25, epsilon=0.2, rule="C",
+                         cap=10 ** 5)),
     ("D", plan_geometric_mean(0.2, 0.1, 3)),
-    ("E", plan_unbounded(0.1, 40, 1.5, 0.25, 0.2, "E", 10 ** 5)),
-    ("F", plan_unbounded(0.1, 40, 1.5, 0.25, 0.2, "F", 10 ** 5)),
+    ("E", plan_unbounded(0.1, 40, 1.5, 0.25, epsilon=0.2, rule="E",
+                         cap=10 ** 5)),
+    ("F", plan_unbounded(0.1, 40, 1.5, 0.25, epsilon=0.2, rule="F",
+                         cap=10 ** 5)),
     ("mv", plan_mv(0.2, 0.1, 3)),
 ])
 def test_rule_letter_picks_its_planner(rule, expected):
@@ -111,7 +115,7 @@ def test_geometric_interpolation_ratios_are_even():
 
 
 def test_unbounded_generator_example():
-    sched = plan_unbounded(0.05, 50, ratio=2.0, decay=0.5)
+    sched = plan_unbounded(0.05, 50, epsilon=0.2, ratio=2.0, decay=0.5)
     ms = [m for m, _, _ in sched.table[:3]]
     bs = [b for _, b, _ in sched.table[:3]]
     assert ms == [50, 100, 200]
@@ -120,13 +124,13 @@ def test_unbounded_generator_example():
 
 
 def test_unbounded_budgets_sum_below_delta():
-    sched = plan_unbounded(0.05, 50)
+    sched = plan_unbounded(0.05, 50, epsilon=0.2)
     total = sum(b for _, b, _ in sched.table[:20])
     assert total <= 0.05 + 1e-15
 
 
 def test_unbounded_threshold_ratio_shrinks():
-    sched = plan_unbounded(0.05, 50)
+    sched = plan_unbounded(0.05, 50, epsilon=0.2)
     def ratio(ell):
         m, b, _ = sched.table[ell - 1]
         return abs(math.log(b) / m)
@@ -135,9 +139,9 @@ def test_unbounded_threshold_ratio_shrinks():
 
 def test_unbounded_rejects_bad_ratio():
     with pytest.raises(ValueError):
-        plan_unbounded(0.05, 50, ratio=1.0)
+        plan_unbounded(0.05, 50, epsilon=0.2, ratio=1.0)
     with pytest.raises(ValueError):
-        plan_unbounded(0.05, 50, decay=1.5)
+        plan_unbounded(0.05, 50, epsilon=0.2, decay=1.5)
 
 
 def test_invalid_parameters():
@@ -149,12 +153,83 @@ def test_invalid_parameters():
         plan_bounded_abs(0.1, 0.05, 0, "A")
     with pytest.raises(ValueError):
         plan_bounded_abs(0.1, 0.05, 5, "Z")
+    with pytest.raises(ValueError, match="delta"):
+        plan_geometric_mean(0.1, 0.0, 5)
+    with pytest.raises(ValueError, match="s must be"):
+        plan_geometric_mean(0.1, 0.05, 0)
+    with pytest.raises(ValueError, match="stage sizes, all positive"):
+        plan_unbounded(0.05, 0, epsilon=0.2)
+
+
+@pytest.mark.parametrize("planner, epsilon", [
+    # 2 eps^2 is subnormal or 0, or 1 - eps rounds to 1 (rule A's m1), or
+    # (1 + eps) ln(1 + eps) - eps rounds to 0 or below (rule D's m_s)
+    (lambda e: plan_bounded_abs(e, 0.05, 5, "A"), 1e-160),
+    (lambda e: plan_bounded_abs(e, 0.05, 5, "A"), 1e-300),
+    (lambda e: plan_bounded_abs(e, 0.05, 5, "A"), 1e-17),
+    (lambda e: plan_bounded_abs(e, 0.05, 5, "B"), 1e-160),
+    (lambda e: plan_mv(e, 0.05, 5), 1e-300),
+    (lambda e: plan_geometric_mean(e, 0.05, 5), 1e-160),
+    (lambda e: plan_geometric_mean(e, 0.05, 1), 1e-300),
+    (lambda e: plan_geometric_mean(e, 0.05, 5), 1e-16),
+])
+def test_planners_refuse_stage_sizes_beyond_the_floats(planner, epsilon):
+    with pytest.raises(ValueError, match="overflows a float"):
+        planner(epsilon)
+
+
+def test_planners_take_the_smallest_epsilons_the_floats_allow():
+    # one stage skips rule A's first-stage formula, which 1 - 1e-17 breaks
+    assert plan_bounded_abs(1e-17, 0.05, 1, "A").stages == (
+        math.ceil(math.log(2.0 / 0.05) / (2.0 * 1e-17 * 1e-17)),)
+    assert plan_geometric_mean(1e-9, 0.05, 5).stages[0] == 5298317370
+
+
+_FINITE = plan_bounded_abs(0.1, 0.05, 5, "A")
+_UNBOUNDED = plan_unbounded(0.05, 50, epsilon=0.2, cap=10 ** 5)
+
+
+@pytest.mark.parametrize("base, changes, message", [
+    (_FINITE, {"rule": "Q"}, "unknown rule"),
+    (_UNBOUNDED, {"epsilon": 0.0}, "epsilon must be positive"),
+    (_UNBOUNDED, {"rule": "F", "epsilon": 1.5}, "epsilon < 1"),
+    (_FINITE, {"epsilon": 0.6}, "epsilon < 1/2"),
+    (_FINITE, {"delta": 1.0}, "delta must lie in"),
+    (_UNBOUNDED, {"cap": 0}, "at least 1"),
+    (_UNBOUNDED, {"cap": -3}, "at least 1"),
+    (_UNBOUNDED, {"cap": 1000.0}, "integers"),
+    (_FINITE, {"stages": (51.0, 77, 117, 176, 265)}, "integers"),
+    (_FINITE, {"s": 1.5}, "integers"),
+    (_UNBOUNDED, {"stages": (True,)}, "integers"),
+    (_UNBOUNDED, {"unbounded": "yes"}, "true or false"),
+    (_FINITE, {"stages": (0, 77, 117, 176, 265)}, "all positive"),
+    (_FINITE, {"stages": (), "budgets": ()}, "one or more stage sizes"),
+    (_FINITE, {"stages": (77, 51, 117, 176, 265)}, "strictly ascending"),
+    (_FINITE, {"budgets": (0.01,) * 4}, "one budget per stage"),
+    (_UNBOUNDED, {"decay": 1.0}, "decay"),
+    (_UNBOUNDED, {"ratio": 1e308}, "overflow a float"),
+], ids=["unknown-rule", "eps-zero", "eps-F", "eps-A", "delta-one",
+        "cap-zero", "cap-negative", "cap-float", "stages-float", "s-float",
+        "stages-bool", "unbounded-string", "stage-zero", "no-stages",
+        "descending", "budget-count", "decay-one", "ratio-overflow"])
+def test_schedule_refuses_a_plan_where_it_is_built(base, changes, message):
+    # the constructor, dataclasses.replace and from_json all build through
+    # one check, so a plan no rule can run never exists
+    fields = {f.name: getattr(base, f.name)
+              for f in dataclasses.fields(base) if f.init}
+    with pytest.raises(ValueError, match=message):
+        StageSchedule(**{**fields, **changes})
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(base, **changes)
+    doc = {**json.loads(base.to_json()), **changes}
+    with pytest.raises(ValueError, match=message):
+        StageSchedule.from_json(json.dumps(doc))
 
 
 def test_json_round_trip():
     for sched in (plan_bounded_abs(0.1, 0.05, 5, "A"),
                   plan_geometric_mean(0.2, 0.05, 4),
-                  plan_unbounded(0.05, 50, cap=10 ** 6)):
+                  plan_unbounded(0.05, 50, epsilon=0.2, cap=10 ** 6)):
         again = StageSchedule.from_json(sched.to_json())
         assert again == sched
 
@@ -174,7 +249,7 @@ def test_documents_written_before_the_stage_table_still_load():
         plan_bounded_abs(0.2, 0.05, 5, "A")
     again = StageSchedule.from_json(docs["C"])
     assert again == plan_unbounded(0.05, 50, epsilon=0.2, rule="C")
-    assert again.table == plan_unbounded(0.05, 50).table
+    assert again.table == plan_unbounded(0.05, 50, epsilon=0.2).table
 
 
 def test_check_set_policies(tmp_path, capsys):
@@ -201,14 +276,14 @@ def test_check_set_policies(tmp_path, capsys):
 
 
 def test_unbounded_check_set_hits_stage_sizes():
-    sched = plan_unbounded(0.05, 50)
+    sched = plan_unbounded(0.05, 50, epsilon=0.2)
     for n in (50, 100, 200, 400):
         assert sched.in_check_set(n)
     assert not sched.in_check_set(75)
 
 
 def test_default_cap():
-    assert plan_unbounded(0.05, 50).cap == DEFAULT_CAP
+    assert plan_unbounded(0.05, 50, epsilon=0.2).cap == DEFAULT_CAP
 
 
 def test_unbounded_check_set_agrees_with_stage_table():
@@ -226,7 +301,7 @@ def test_unbounded_check_set_agrees_with_stage_table():
     {"ratio": 1.5, "decay": 0.3, "cap": 10 ** 6},
 ])
 def test_unbounded_table_matches_lazy_recurrence(kwargs):
-    sched = plan_unbounded(0.05, 50, **kwargs)
+    sched = plan_unbounded(0.05, 50, epsilon=0.2, **kwargs)
     limit = sched.cap * STAGE_SCAN_FACTOR
     m, ell = 50, 1
     while True:
@@ -240,14 +315,14 @@ def test_unbounded_table_matches_lazy_recurrence(kwargs):
 
 
 def test_ratio_close_to_one_within_stage_limit():
-    sched = plan_unbounded(0.05, 50, ratio=1.001)
+    sched = plan_unbounded(0.05, 50, epsilon=0.2, ratio=1.001)
     assert 10 ** 4 < len(sched.table) < MAX_STAGES // 4
 
 
 def test_unbounded_rejects_non_finite_and_slow_ratios():
     for ratio in (math.inf, math.nan, 1.000000001):
         with pytest.raises(ValueError):
-            plan_unbounded(0.05, 50, ratio=ratio)
+            plan_unbounded(0.05, 50, epsilon=0.2, ratio=ratio)
     with pytest.raises(ValueError):
         plan_bounded_abs(0.1, 0.05, MAX_STAGES + 1, "A")
 
@@ -256,7 +331,7 @@ def test_unbounded_rejects_non_finite_and_slow_ratios():
 def test_table_thresholds(kwargs):
     # today's ln(b / 2) / m wherever b / 2 is positive; in log space, and
     # still falling with the budgets, once it underflows
-    sched = plan_unbounded(0.05, 50, **kwargs)
+    sched = plan_unbounded(0.05, 50, epsilon=0.2, **kwargs)
     for m, b, threshold in sched.table:
         if b / 2.0 > 0.0:
             assert threshold == math.log(b / 2.0) / m

@@ -7,8 +7,8 @@ import pytest
 from seqstop import rules, sim
 from seqstop.rules import RULES, EstimationGoal, RunningSample, feed, \
     run_to_stop
-from seqstop.schedules import plan_bounded_abs, plan_geometric_mean, \
-    plan_mv, plan_unbounded
+from seqstop.schedules import StageSchedule, plan_bounded_abs, \
+    plan_geometric_mean, plan_mv, plan_unbounded
 from seqstop.sim import (CoverageReport, DistributionSpec, Rng,
                          coverage_chunk, coverage_experiment, generate,
                          report_from_chunks)
@@ -82,6 +82,51 @@ def test_spec_validation():
         DistributionSpec("geometric", {"theta": math.inf})
     with pytest.raises(ValueError):
         DistributionSpec("scaled-beta", {"alpha": math.inf, "beta": 2.0})
+    with pytest.raises(ValueError, match="shape"):
+        DistributionSpec("scaled-beta", {"alpha": 0.0, "beta": 2.0})
+    with pytest.raises(ValueError, match="equal length"):
+        DistributionSpec("discrete", {"support": [0.0], "probs": [0.5, 0.5]})
+    with pytest.raises(ValueError, match="support must lie"):
+        DistributionSpec("discrete", {"support": [0.0, 2.0],
+                                      "probs": [0.5, 0.5]})
+    # a larger mean could overflow a draw or the running sums
+    for theta in (1e301, 1e306, 1e308):
+        with pytest.raises(ValueError, match="theta"):
+            DistributionSpec("geometric", {"theta": theta})
+    DistributionSpec("geometric", {"theta": 1e300})
+    with pytest.raises(ValueError, match="count"):
+        generate(DistributionSpec("bernoulli", {"p": 0.5}), -1)
+
+
+@pytest.mark.parametrize("theta", [1e12, 1e15, 1e20])
+def test_rule_d_covers_at_large_geometric_means(theta):
+    # mg lost its digits to cancellation here: coverage read 0.625 at
+    # 1e12, 0.8 at 1e15 with early false claims, and 0 at 1e20
+    spec = DistributionSpec("geometric", {"theta": theta}, seed=0)
+    report = coverage_experiment("D", spec,
+                                 schedule=plan_geometric_mean(0.2, 0.05, 5),
+                                 reps=200)
+    assert report.coverage >= 0.95 and report.no_inclusion == 0
+
+
+def test_coverage_counts_cap_hits_and_no_inclusion():
+    # rule E at epsilon 0.01 cannot stop within 60 draws, so every run
+    # reaches its cap
+    spec = DistributionSpec("poisson", {"lam": 4.0}, seed=3)
+    report = coverage_experiment(
+        "E", spec, schedule=plan_unbounded(0.05, 50, epsilon=0.01, rule="E",
+                                           cap=60), reps=5)
+    assert (report.coverage, report.cap_hits, report.no_inclusion) == \
+        (0.0, 5, 0)
+    assert report.n_quantiles == {"p50": 60, "p90": 60, "p99": 60}
+    # rule A's test cannot hold at 10 draws with epsilon 0.1, so the
+    # last stage passes without firing
+    tiny = StageSchedule(epsilon=0.1, delta=0.05, s=2, rule="A",
+                         stages=(5, 10), budgets=(0.025, 0.025))
+    spec = DistributionSpec("bernoulli", {"p": 0.5}, seed=3)
+    report = coverage_experiment("A", spec, schedule=tiny, reps=5)
+    assert (report.coverage, report.cap_hits, report.no_inclusion) == \
+        (0.0, 0, 5)
 
 
 def test_geometric_support():
@@ -328,12 +373,8 @@ _A_FIVE_STAGES_S1 = dataclasses.replace(plan_bounded_abs(0.1, 0.05, 5, "A"),
      plan_bounded_abs(0.1, 0.05, 5, "A")),
     ("A", EstimationGoal("bounded", "rel", 0.1, 0.05),
      plan_bounded_abs(0.1, 0.05, 5, "A")),
-    ("Q", GOAL_BOUNDED,
-     dataclasses.replace(plan_bounded_abs(0.1, 0.05, 5, "A"), rule="Q")),
-    # plan_unbounded's default epsilon, 0.0, which rule C cannot take
-    ("C", None, plan_unbounded(0.05, 50)),
 ], ids=["B-on-A-s1", "B-on-A-s1-goal", "A-on-B", "mv-on-A", "goal-eps",
-        "goal-delta", "goal-error", "unknown-rule", "eps-zero"])
+        "goal-delta", "goal-error"])
 def test_coverage_refuses_a_plan_for_another_rule_or_goal(procedure, goal,
                                                            schedule):
     spec = DistributionSpec("bernoulli", {"p": 0.3}, seed=81)
