@@ -3,25 +3,27 @@
 The random generator is splitmix64: state advances by the 64-bit
 constant 0x9E3779B97F4A7C15 and each output is the mix
 ``z ^= z >> 30; z *= 0xBF58476D1CE4E5B9; z ^= z >> 27;
-z *= 0x94D049BB133111EB; z ^= z >> 31`` of the new state.  Replication
-r of an experiment with seed S uses stream seed S xor mix(r), so any
-implementation of the same recipe reproduces the streams bit for bit.
+z *= 0x94D049BB133111EB; z ^= z >> 31`` of the new state, and the
+uniform is its top 53 bits times 2^-53.  Replication r of an experiment
+with seed S uses stream seed S xor mix(r), so any implementation of the
+same recipe reproduces the streams bit for bit.
 
 The generator is counter-based: uniform j of a stream is
 mix(seed + j * 0x9E3779B97F4A7C15), with no dependence on earlier
 outputs (Steele, Lea & Flood, OOPSLA 2014; Salmon et al., SC 2011).  So
-the Bernoulli and integer-shape scaled-beta streams of ``generate`` also
-draw whole blocks with numpy's wrapping uint64 arithmetic, which gives
-the same uniforms, the same draws and, summed in order, the same running
-sums as one draw at a time.  The other kinds use ``math`` functions whose
-numpy counterparts may differ in the last bit, and stay scalar.
+every stream of ``generate`` draws its uniforms in blocks, bit for bit,
+with numpy's wrapping uint64 arithmetic (``_mix_block``).  Bernoulli and
+integer-shape scaled-beta streams turn whole blocks into draws and, summed
+in order, into the same running sums.  The other kinds feed the uniforms,
+as exact floats, one by one to ``_draw``'s scalar ``math`` arithmetic.
 """
 
 import json
 import math
 import os
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from itertools import chain
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 # perfbench wraps run_to_stop, run_mv and ci_mean where this module binds
 # them, so all three stay bound; mv runs go through run_to_stop
@@ -32,7 +34,6 @@ from .schedules import StageSchedule
 from .seq_mv import run_mv  # noqa: F401
 
 __all__ = [
-    "Rng",
     "DistributionSpec",
     "generate",
     "CoverageReport",
@@ -46,11 +47,16 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 # uniforms per block of a block-drawn stream, which bounds its memory
 _BLOCK_UNIFORMS = 1 << 16
+# draws a stream's first block of uniforms is sized for
+_FIRST_DRAWS = 256
 
 # a geometric draw is at most about 37 theta (53 bits of uniform), and
 # DEFAULT_CAP = 1e7 draws of mean theta sum to about 1e7 theta, so the
 # running sums stay finite below this mean
 _MAX_THETA = 1e300
+
+# the Poisson product method's limit e^-lam stays a normal float (> e^-708)
+_MAX_LAM = 700.0
 
 
 def _mix(x: int) -> int:
@@ -60,19 +66,34 @@ def _mix(x: int) -> int:
     return z ^ (z >> 31)
 
 
-class Rng:
-    """splitmix64 stream; see the module docstring for the exact recipe."""
+def _mix_block(state: int, count: int):
+    """Uniforms 1..count after state as 53-bit integers z (u = z * 2^-53)."""
+    import numpy as np
 
-    def __init__(self, seed: int) -> None:
-        self._state = seed & _MASK
+    # in place: two more array copies per block cost long_stream about 10 %
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64(state)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(factor)
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    return z
 
-    def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK
-        return _mix(self._state)
 
-    def uniform(self) -> float:
-        """Uniform on [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * (2.0 ** -53)
+def _uniforms(state: int, per_draw: int) -> Callable[[], float]:
+    """Zero-argument source of the uniforms after state, in blocks sized
+    for _FIRST_DRAWS draws of per_draw uniforms, then doubling up to
+    ``_BLOCK_UNIFORMS``; z * 2^-53 is exact, so each is the recipe's float."""
+    def blocks() -> Iterator[List[float]]:
+        s, size = state, min(_FIRST_DRAWS * per_draw, _BLOCK_UNIFORMS)
+        while True:
+            yield (_mix_block(s, size).astype(float) * 2.0 ** -53).tolist()
+            s = (s + size * _GOLDEN) & _MASK
+            size = min(2 * size, _BLOCK_UNIFORMS)
+
+    return chain.from_iterable(blocks()).__next__
 
 
 _KINDS = ("bernoulli", "scaled-beta", "discrete", "geometric", "poisson")
@@ -103,15 +124,16 @@ class DistributionSpec:
                 raise ValueError("support and probs must have equal length")
             if any(not 0.0 <= x <= 1.0 for x in support):
                 raise ValueError("support must lie in [0, 1]")
-            if abs(sum(probs) - 1.0) > 1e-12:
-                raise ValueError("probs must sum to 1")
+            if any(q < 0.0 for q in probs) or abs(sum(probs) - 1.0) > 1e-12:
+                raise ValueError("probs must be nonnegative and sum to 1")
         elif self.kind == "geometric":
             if not 1.0 < p["theta"] <= _MAX_THETA:
                 raise ValueError(f"mean theta must lie in (1, {_MAX_THETA:g}]"
                                  f", got {p['theta']!r}")
         else:
-            if p["lam"] <= 0.0:
-                raise ValueError("lam must be positive")
+            if not 0.0 < p["lam"] <= _MAX_LAM:
+                raise ValueError(f"mean lam must lie in (0, {_MAX_LAM:g}], "
+                                 f"got {p['lam']!r}")
 
     def true_value(self) -> float:
         """The parameter the estimation procedures target."""
@@ -137,25 +159,25 @@ def _order_statistic(spec: DistributionSpec) -> Optional[Tuple[int, int]]:
     return None
 
 
-def _draw(rng: Rng, spec: DistributionSpec) -> float:
+def _draw(uniform: Callable[[], float], spec: DistributionSpec) -> float:
     p = spec.params
     if spec.kind == "bernoulli":
-        return 1.0 if rng.uniform() < p["p"] else 0.0
+        return 1.0 if uniform() < p["p"] else 0.0
     if spec.kind == "scaled-beta":
         order = _order_statistic(spec)
         if order is not None:
             k, total = order
-            us = sorted(rng.uniform() for _ in range(total))
+            us = sorted(uniform() for _ in range(total))
             return us[k - 1]
         # Johnk's rejection method for non-integer shapes
         a, b = p["alpha"], p["beta"]
         while True:
-            x = rng.uniform() ** (1.0 / a)
-            y = rng.uniform() ** (1.0 / b)
+            x = uniform() ** (1.0 / a)
+            y = uniform() ** (1.0 / b)
             if 0.0 < x + y <= 1.0:
                 return x / (x + y)
     if spec.kind == "discrete":
-        u = rng.uniform()
+        u = uniform()
         acc = 0.0
         for x, q in zip(p["support"], p["probs"]):
             acc += q
@@ -164,14 +186,14 @@ def _draw(rng: Rng, spec: DistributionSpec) -> float:
         return float(p["support"][-1])
     if spec.kind == "geometric":
         succ = 1.0 / p["theta"]
-        u = 1.0 - rng.uniform()  # in (0, 1]
+        u = 1.0 - uniform()  # in (0, 1]
         return 1.0 + math.floor(math.log(u) / math.log1p(-succ))
     # poisson, product method
     lam = p["lam"]
     limit = math.exp(-lam)
     k, prod = 0, 1.0
     while True:
-        prod *= rng.uniform()
+        prod *= uniform()
         if prod <= limit:
             return float(k)
         k += 1
@@ -180,19 +202,19 @@ def _draw(rng: Rng, spec: DistributionSpec) -> float:
 class _BlockStream:
     """Draws of a Bernoulli or integer-shape scaled-beta stream.
 
-    Iterating yields one draw at a time.  ``fold_to``, which the engine
-    uses instead (see ``rules.source``), draws blocks of at most
-    ``_BLOCK_UNIFORMS`` uniforms and folds them into the running sums.
-    A stream is read one way or the other, not both.
+    Iterating yields one draw at a time from ``_draw``.  ``fold_to``, which
+    the engine uses instead (see ``rules.source``), turns blocks of at most
+    ``_BLOCK_UNIFORMS`` uniforms into draws and folds them into the running
+    sums.  A stream is read one way or the other, not both.
     """
 
-    def __init__(self, spec: DistributionSpec, count: int, rng: Rng,
+    def __init__(self, spec: DistributionSpec, count: int, state: int,
                  order: Optional[Tuple[int, int]]) -> None:
-        self._spec, self._rng, self._order = spec, rng, order
+        self._spec, self._state, self._order = spec, state, order
         self._per_draw = 1 if order is None else order[1]
-        self._left = count  # draws not yet taken from rng
+        self._left = count  # draws not yet taken
         self._start = self._end = 0  # the block holds draws start..end-1
-        self._values = None
+        self._values = self._uniform = None  # made when first read
 
     def __iter__(self) -> "_BlockStream":
         return self
@@ -200,8 +222,10 @@ class _BlockStream:
     def __next__(self) -> float:
         if self._left == 0:
             raise StopIteration
+        if self._uniform is None:
+            self._uniform = _uniforms(self._state, self._per_draw)
         self._left -= 1
-        return _draw(self._rng, self._spec)
+        return _draw(self._uniform, self._spec)
 
     def fold_to(self, state: RunningSample, n: int, parameter: str) -> None:
         """``rules.source``'s fold: state, which holds this stream's first
@@ -244,17 +268,8 @@ class _BlockStream:
         size = min(self._left, largest, max(n - self._end, largest // 16))
         if size == 0:
             return False
-        # uniform j after the state s is mix(s + j * golden), j = 1, 2, ...
-        state, count = self._rng._state, size * self._per_draw
-        z = np.arange(1, count + 1, dtype=np.uint64)
-        z *= np.uint64(_GOLDEN)
-        z += np.uint64(state)
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(0xBF58476D1CE4E5B9)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(0x94D049BB133111EB)
-        z ^= z >> np.uint64(31)
-        z >>= np.uint64(11)  # the uniform is z * 2^-53, exactly
+        count = size * self._per_draw
+        z = _mix_block(self._state, count)  # the uniforms are z * 2^-53
         if self._order is None:
             # z * 2^-53 < p exactly when the integer z < ceil(p * 2^53)
             limit = math.ceil(self._spec.params["p"] * 2.0 ** 53)
@@ -263,7 +278,7 @@ class _BlockStream:
             k, total = self._order
             u = z.astype(np.float64) * 2.0 ** -53
             self._values = np.sort(u.reshape(size, total), axis=1)[:, k - 1]
-        self._rng._state = (state + count * _GOLDEN) & _MASK
+        self._state = (self._state + count * _GOLDEN) & _MASK
         self._left -= size
         self._start, self._end = self._end, self._end + size
         return True
@@ -274,11 +289,13 @@ def generate(spec: DistributionSpec, count: int,
     """Lazy stream of count draws for the given replication index."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    rng = Rng(spec.seed ^ _mix(replication))
+    state = (spec.seed ^ _mix(replication)) & _MASK
     order = _order_statistic(spec) if spec.kind == "scaled-beta" else None
     if spec.kind == "bernoulli" or order is not None:
-        return _BlockStream(spec, count, rng, order)
-    return (_draw(rng, spec) for _ in range(count))
+        return _BlockStream(spec, count, state, order)
+    # a Poisson draw takes lam + 1 uniforms on average, the others about 1
+    uniform = _uniforms(state, math.ceil(spec.params.get("lam", 0)) + 1)
+    return (_draw(uniform, spec) for _ in range(count))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 independently of the adaptive scan and the stopping-rule engine."""
 
 import math
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from scipy.stats import binom
@@ -295,3 +295,72 @@ def reference_run_to_stop(stream, schedule: StageSchedule) -> StopDecision:
         if schedule.unbounded and state.n >= schedule.cap:
             return decide("cap-reached")
     return decide("stream-exhausted")
+
+
+# -- one-at-a-time reference for the seeded streams -------------------------
+
+_MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+class Rng:
+    """splitmix64 one output at a time, as ``seqstop.sim``'s module
+    docstring states the recipe."""
+
+    def __init__(self, seed: int) -> None:
+        self._state = seed & _MASK
+
+    def next_u64(self) -> int:
+        self._state = (self._state + _GOLDEN) & _MASK
+        z = self._state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        return z ^ (z >> 31)
+
+    def uniform(self) -> float:
+        """Uniform on [0, 1) with 53 random bits."""
+        return (self.next_u64() >> 11) * (2.0 ** -53)
+
+
+def _reference_draw(rng: Rng, spec) -> float:
+    p = spec.params
+    if spec.kind == "bernoulli":
+        return 1.0 if rng.uniform() < p["p"] else 0.0
+    if spec.kind == "scaled-beta":
+        a, b = p["alpha"], p["beta"]
+        if a == int(a) and b == int(b) and a + b <= 64:
+            # the a-th smallest of a + b - 1 uniforms is Beta(a, b)
+            us = sorted(rng.uniform() for _ in range(int(a + b) - 1))
+            return us[int(a) - 1]
+        while True:  # Johnk's rejection method
+            x = rng.uniform() ** (1.0 / a)
+            y = rng.uniform() ** (1.0 / b)
+            if 0.0 < x + y <= 1.0:
+                return x / (x + y)
+    if spec.kind == "discrete":
+        u = rng.uniform()
+        acc = 0.0
+        for x, q in zip(p["support"], p["probs"]):
+            acc += q
+            if u < acc:
+                return float(x)
+        return float(p["support"][-1])
+    if spec.kind == "geometric":
+        u = 1.0 - rng.uniform()  # in (0, 1]
+        return 1.0 + math.floor(math.log(u) / math.log1p(-1.0 / p["theta"]))
+    limit = math.exp(-p["lam"])  # poisson, product method
+    k, prod = 0, 1.0
+    while True:
+        prod *= rng.uniform()
+        if prod <= limit:
+            return float(k)
+        k += 1
+
+
+def reference_generate(spec, count: int, replication: int = 0) -> List[float]:
+    """The count draws of ``sim.generate(spec, count, replication)``, one
+    splitmix64 output and one draw at a time."""
+    # the stream seed is seed xor mix(r), and mix(r) is the first output
+    # after the state r - golden
+    rng = Rng(spec.seed ^ Rng(replication - _GOLDEN).next_u64())
+    return [_reference_draw(rng, spec) for _ in range(count)]

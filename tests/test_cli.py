@@ -638,6 +638,14 @@ _SCHEDULE_DOCS = {
         "0.2", "--theta", theta], 2) for theta in ("1e306", "1e307", "1e308")],
     (["simulate", "--procedure", "D", "--dist", "geometric", "--epsilon",
       "0.2", "--theta", "1e300"], 0),
+    # Poisson means whose e^-lam would underflow
+    *[(["simulate", "--procedure", "E", "--dist", "poisson", "--epsilon",
+        "0.5", "--lam", lam], 2) for lam in ("1000", "2000")],
+    (["simulate", "--procedure", "F", "--dist", "poisson", "--epsilon",
+      "0.2", "--lam", "700"], 0),
+    # probabilities that sum to 1 but are not all nonnegative
+    (["simulate", "--dist", "discrete", "--support", "0,1", "--probs",
+      "1.5,-0.5"], 2),
 ])
 def test_cli_inputs_end_in_an_exit_code(capsys, tmp_path, argv, expected):
     if argv[0] == "run":

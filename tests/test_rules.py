@@ -228,7 +228,7 @@ def _support_verdict(check, x):
 def _block_fold(x, parameter):
     """``_BlockStream.fold_to`` over a block that holds x alone."""
     stream = sim._BlockStream(DistributionSpec("bernoulli", {"p": 0.5}), 1,
-                              sim.Rng(0), None)
+                              0, None)
 
     def next_block(n):
         stream._values, stream._left, stream._end = np.array([x]), 0, 1

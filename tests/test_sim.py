@@ -9,16 +9,16 @@ from seqstop.rules import RULES, EstimationGoal, RunningSample, feed, \
     run_to_stop
 from seqstop.schedules import StageSchedule, plan_bounded_abs, \
     plan_geometric_mean, plan_mv, plan_unbounded
-from seqstop.sim import (CoverageReport, DistributionSpec, Rng,
-                         coverage_chunk, coverage_experiment, generate,
-                         report_from_chunks)
+from seqstop.sim import (CoverageReport, DistributionSpec, coverage_chunk,
+                         coverage_experiment, generate, report_from_chunks)
 from seqstop.fixed_ci import SampleSummary, ci_mean
 
-from oracles import (oracle_ci_grid, oracle_sequence_limits,
-                     reference_run_to_stop)
+from oracles import (Rng, oracle_ci_grid, oracle_sequence_limits,
+                     reference_generate, reference_run_to_stop)
 
 
 def test_rng_uniform_range_and_determinism():
+    # the one-at-a-time reference the seeded streams are checked against
     a = Rng(42)
     b = Rng(42)
     xs = [a.uniform() for _ in range(1000)]
@@ -78,6 +78,11 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         DistributionSpec("discrete", {"support": [0.0, 0.5],
                                       "probs": [0.9, 0.2]})
+    # they sum to 1, but the mean would read -0.5 and every draw 0.0
+    with pytest.raises(ValueError, match="nonnegative"):
+        DistributionSpec("discrete", {"support": [0.0, 1.0],
+                                      "probs": [1.5, -0.5]})
+    DistributionSpec("discrete", {"support": [0.0, 1.0], "probs": [1.0, 0.0]})
     with pytest.raises(ValueError):
         DistributionSpec("geometric", {"theta": math.inf})
     with pytest.raises(ValueError):
@@ -94,6 +99,11 @@ def test_spec_validation():
         with pytest.raises(ValueError, match="theta"):
             DistributionSpec("geometric", {"theta": theta})
     DistributionSpec("geometric", {"theta": 1e300})
+    # e^-lam would underflow, and the product method would draw about 745
+    for lam in (745.0, 800.0, 2000.0):
+        with pytest.raises(ValueError, match="lam"):
+            DistributionSpec("poisson", {"lam": lam})
+    DistributionSpec("poisson", {"lam": sim._MAX_LAM})
     with pytest.raises(ValueError, match="count"):
         generate(DistributionSpec("bernoulli", {"p": 0.5}), -1)
 
@@ -239,7 +249,7 @@ def test_block_draws_match_scalar_draws(kind, params, count):
     # every n: one draw per call near the block edge, long jumps across
     # it, and from nonzero totals
     spec = DistributionSpec(kind, params, seed=61)
-    sums = _prefix_sums(list(generate(spec, count, 4)))
+    sums = _prefix_sums(reference_generate(spec, count, 4))
     stream = generate(spec, count, 4)
     assert hasattr(stream, "fold_to")
     per_draw = 1 if kind == "bernoulli" else \
@@ -259,12 +269,47 @@ def test_block_draws_match_scalar_draws(kind, params, count):
     assert (state.n, state.total, state.total_sq) == sums[-1]
 
 
+@pytest.mark.parametrize("kind, params, long", [
+    ("bernoulli", {"p": 0.3}, 70_000),
+    ("scaled-beta", {"alpha": 2, "beta": 5}, 12_000),
+    ("scaled-beta", {"alpha": 2.5, "beta": 1.5}, 7_000),  # Johnk
+    ("discrete", {"support": [0.0, 0.5, 1.0], "probs": [0.2, 0.5, 0.3]},
+     70_000),
+    ("geometric", {"theta": 5.0}, 70_000),
+    ("geometric", {"theta": 1e12}, 70_000),
+    ("geometric", {"theta": 1e20}, 70_000),
+    ("poisson", {"lam": 0.5}, 50_000),
+    ("poisson", {"lam": 4.0}, 15_000),
+    ("poisson", {"lam": 30.0}, 2_500),
+    ("poisson", {"lam": 700.0}, 100),
+])
+def test_generate_matches_the_scalar_reference(kind, params, long):
+    # a stream's first block holds the uniforms of 256 draws that take
+    # one each (or t, for the t-uniform order statistic), the next twice
+    # as many; the long count reads past the first 2^16 uniforms
+    spec = DistributionSpec(kind, params, seed=63)
+    expected = reference_generate(spec, long, 5)
+    for count in [c for c in (0, 1, 255, 256, 257, 768, 769) if c < long] \
+            + [long]:
+        assert list(generate(spec, count, 5)) == expected[:count], count
+
+
+@pytest.mark.parametrize("seed", [99, (1 << 64) - 5])
+def test_uniform_blocks_double_up_to_the_largest(monkeypatch, seed):
+    # blocks of 3, 6, 8, 8, ... uniforms; the second seed wraps the state
+    monkeypatch.setattr(sim, "_BLOCK_UNIFORMS", 8)
+    monkeypatch.setattr(sim, "_FIRST_DRAWS", 1)
+    rng, uniform = Rng(seed), sim._uniforms(seed, 3)
+    assert [uniform() for _ in range(60)] == \
+        [rng.uniform() for _ in range(60)]
+
+
 def test_block_draws_are_checked_against_the_goal():
     # a Bernoulli 0.0 lies outside a geometric mean's support, and the
     # block fold raises at it as feed does, but only once it is folded
     spec = DistributionSpec("bernoulli", {"p": 0.9}, seed=62)
     goal = EstimationGoal("geometric", "rel", 0.2, 0.05)
-    draws = list(generate(spec, 500))
+    draws = reference_generate(spec, 500)
     first_zero = draws.index(0.0)
     stream, state = generate(spec, 500), RunningSample()
     stream.fold_to(state, first_zero, goal.parameter)
@@ -319,7 +364,7 @@ def test_coverage_chunk_decides_as_the_scalar_engine(monkeypatch, rule,
     count = schedule.cap if schedule.unbounded else schedule.stages[-1]
     statuses = set()
     for r, decision in enumerate(decisions[:reps]):
-        draws = list(generate(spec, count, replication=r))
+        draws = reference_generate(spec, count, replication=r)
         assert decision == run_to_stop(iter(draws), schedule)
         assert decision == reference_run_to_stop(iter(draws), schedule)
         statuses.add(decision.status)
@@ -349,7 +394,7 @@ def test_coverage_chunk_ci_sums_as_feed_does(monkeypatch, kind, params):
     assert summaries[:reps] == summaries[reps:]
     for r, summary in enumerate(summaries[:reps]):
         state = RunningSample()
-        for x in list(generate(spec, 60, replication=r)):
+        for x in reference_generate(spec, 60, replication=r):
             feed(state, x, GOAL_BOUNDED)
         assert summary == state.summary()
 
